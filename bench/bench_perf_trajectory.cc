@@ -1,7 +1,8 @@
-// Perf-trajectory harness: times the dictionary-encoded hot paths
-// against the retained Value-keyed legacy paths on the same workloads
-// and emits a machine-readable JSON file (default BENCH_PR9.json, or
-// argv[1]) so successive PRs leave a comparable throughput record.
+// Perf-trajectory harness: times the engine's hot paths against their
+// baselines (the legacy nest, the paper's scan search, unsynced WAL,
+// single shard, ...) on the same workloads and emits a machine-readable
+// JSON file (default BENCH_PR13.json, or argv[1]) so successive PRs
+// leave a comparable throughput record.
 // argv[2] overrides the workload row count (CI runs a small smoke
 // workload; section names and per-op rates stay comparable).
 //
@@ -12,10 +13,11 @@
 // Measured sections (keyed workload, see bench/workload.h):
 //   canonical_form — CanonicalFormLegacy vs CanonicalForm over a 10k-row
 //                    keyed relation (rows/sec).
-//   insert_delete  — CanonicalRelation Encoding::kValue vs kInterned,
-//                    both SearchMode::kIndexed, over an insert+delete
-//                    stream (ops/sec), with the §4 algebra counters
-//                    asserted bit-identical across encodings.
+//   insert_delete  — CanonicalRelation SearchMode::kScan (the paper's
+//                    candt/searcht as printed) vs kIndexed over an
+//                    insert+delete stream (ops/sec), with the §4
+//                    algebra counters asserted bit-identical across
+//                    search modes.
 //   wal_durability — the full Database insert+delete path with the WAL
 //                    fdatasync'd at every commit point (sync_wal=true,
 //                    the default) vs unsynced (sync_wal=false), ops
@@ -64,6 +66,14 @@
 //                    replica falls behind under sustained load), and
 //                    the follower's canonical form must render
 //                    bit-identical to the primary's.
+//   autocommit_ingest — 256 autocommit inserts of new keys into a
+//                    (K, A, B) relation of 64 (A, B) groups loaded to
+//                    1k / 10k / 100k rows; per size the insert p50 and
+//                    p99 and the median nf2_snapshot_publish_ns. Publish
+//                    must stay flat across the 100x spread
+//                    (bench_check.py --publish-flat); Theorem A-4's
+//                    one composition per insert is asserted at every
+//                    size.
 
 #include <unistd.h>
 
@@ -140,6 +150,10 @@ struct Section {
   double ckpt_full_large_sec = 0.0;    // checkpoint_latency only.
   uint64_t ckpt_pages_written = 0;     // checkpoint_latency only.
   uint64_t ckpt_pages_skipped = 0;     // checkpoint_latency only.
+  std::vector<size_t> ac_rows;         // autocommit_ingest only.
+  std::vector<double> ac_p50_us;       // autocommit_ingest only.
+  std::vector<double> ac_p99_us;       // autocommit_ingest only.
+  std::vector<double> ac_publish_ns;   // autocommit_ingest only.
   bool counters_identical = true;
 
   double StmtCacheHitRate() const {
@@ -186,11 +200,11 @@ Section BenchInsertDelete(const FlatRelation& flat, const Permutation& perm,
                                 flat.tuples().end());
   out.operations = 2 * stream.size();
 
-  auto run = [&](CanonicalRelation::Encoding encoding, double* seconds,
+  auto run = [&](CanonicalRelation::SearchMode mode, double* seconds,
                  UpdateStats* stats) {
     FlatRelation base(flat.schema(), std::vector<FlatTuple>(base_rows));
-    Result<CanonicalRelation> rel = CanonicalRelation::FromFlat(
-        base, perm, CanonicalRelation::SearchMode::kIndexed, encoding);
+    Result<CanonicalRelation> rel =
+        CanonicalRelation::FromFlat(base, perm, mode);
     NF2_CHECK(rel.ok()) << rel.status().ToString();
     rel->mutable_stats()->Reset();
     *seconds = SecondsOf([&] {
@@ -206,25 +220,25 @@ Section BenchInsertDelete(const FlatRelation& flat, const Permutation& perm,
     *stats = rel->stats();
   };
 
-  UpdateStats value_stats;
-  UpdateStats interned_stats;
-  run(CanonicalRelation::Encoding::kValue, &out.baseline_sec, &value_stats);
-  run(CanonicalRelation::Encoding::kInterned, &out.optimized_sec,
-      &interned_stats);
+  UpdateStats scan_stats;
+  UpdateStats indexed_stats;
+  run(CanonicalRelation::SearchMode::kScan, &out.baseline_sec, &scan_stats);
+  run(CanonicalRelation::SearchMode::kIndexed, &out.optimized_sec,
+      &indexed_stats);
 
-  out.baseline_compositions = value_stats.compositions;
-  out.optimized_compositions = interned_stats.compositions;
-  out.baseline_decompositions = value_stats.decompositions;
-  out.optimized_decompositions = interned_stats.decompositions;
+  out.baseline_compositions = scan_stats.compositions;
+  out.optimized_compositions = indexed_stats.compositions;
+  out.baseline_decompositions = scan_stats.decompositions;
+  out.optimized_decompositions = indexed_stats.decompositions;
+  // The index changes how a candidate is found, never which one, so
+  // every count but candidate_scans must match.
   out.counters_identical =
-      value_stats.compositions == interned_stats.compositions &&
-      value_stats.decompositions == interned_stats.decompositions &&
-      value_stats.recons_calls == interned_stats.recons_calls &&
-      value_stats.candidate_scans == interned_stats.candidate_scans;
+      scan_stats.compositions == indexed_stats.compositions &&
+      scan_stats.decompositions == indexed_stats.decompositions &&
+      scan_stats.recons_calls == indexed_stats.recons_calls;
   NF2_CHECK(out.counters_identical)
-      << "encoding changed the §4 algebra: value="
-      << value_stats.ToString()
-      << " interned=" << interned_stats.ToString();
+      << "search mode changed the §4 algebra: scan="
+      << scan_stats.ToString() << " indexed=" << indexed_stats.ToString();
   return out;
 }
 
@@ -548,8 +562,7 @@ Section BenchIndexedSelection(const FlatRelation& flat,
   out.operations = queries;
 
   Result<CanonicalRelation> rel = CanonicalRelation::FromFlat(
-      flat, perm, CanonicalRelation::SearchMode::kIndexed,
-      CanonicalRelation::Encoding::kInterned);
+      flat, perm, CanonicalRelation::SearchMode::kIndexed);
   NF2_CHECK(rel.ok()) << rel.status().ToString();
 
   // Probe keys cycle over the key domain (attr 0 of the keyed
@@ -899,6 +912,94 @@ Section BenchReplicaCatchup(const FlatRelation& flat, const Permutation& perm,
   return out;
 }
 
+/// Autocommit cost against relation size. Each size gets a fresh
+/// database (sync_wal=false: the commit path, not the disk, is timed)
+/// with one relation (K INT, A STRING, B INT) NEST K, A, B: 64 (A, B)
+/// groups and one new key per row, so the NFR stays at 64 tuples while
+/// their key components grow with the size. The load is one
+/// transaction; then `inserts` autocommit inserts of new keys are timed
+/// one by one, each interning a value and composing into its group's
+/// tuple. publish_ns is the median of the inserts' single
+/// nf2_snapshot_publish_ns observations (read off the histogram's sum
+/// around each insert), so one descheduled publish cannot move it.
+/// baseline_sec / optimized_sec are the summed insert times at the
+/// smallest / largest size.
+Section BenchAutocommitIngest(const std::vector<size_t>& sizes,
+                              size_t inserts) {
+  Section out;
+  out.name = "autocommit_ingest";
+  out.operations = inserts;
+  const Schema schema({Attribute{"k", ValueType::kInt},
+                       Attribute{"a", ValueType::kString},
+                       Attribute{"b", ValueType::kInt}});
+  auto row = [](size_t k) {
+    const size_t group = k % 64;
+    return FlatTuple{Value::Int(static_cast<int64_t>(k)),
+                     Value::String(StrCat("a", group % 8)),
+                     Value::Int(static_cast<int64_t>(group / 8))};
+  };
+  for (size_t rows : sizes) {
+    const std::string dir = (std::filesystem::temp_directory_path() /
+                             "nf2_bench_autocommit_ingest")
+                                .string();
+    std::filesystem::remove_all(dir);
+    Database::Options options;
+    options.sync_wal = false;
+    Result<std::unique_ptr<Database>> db = Database::Open(dir, options);
+    NF2_CHECK(db.ok()) << db.status().ToString();
+    NF2_CHECK((*db)->CreateRelation("ingest", schema, {0, 1, 2}).ok());
+    NF2_CHECK((*db)->Begin().ok());
+    for (size_t k = 0; k < rows; ++k) {
+      NF2_CHECK((*db)->Insert("ingest", row(k)).ok());
+    }
+    NF2_CHECK((*db)->Commit().ok());
+    auto publish = [&] {
+      const MetricsSnapshot snap = (*db)->MetricsSnapshot();
+      const auto* h = snap.histogram("nf2_snapshot_publish_ns");
+      NF2_CHECK(h != nullptr) << "nf2_snapshot_publish_ns not registered";
+      return std::make_pair(h->count, h->sum);
+    };
+    const UpdateStats stats0 = *(*db)->RelationUpdateStats("ingest");
+    std::vector<double> micros;
+    std::vector<double> publish_ns;
+    micros.reserve(inserts);
+    publish_ns.reserve(inserts);
+    for (size_t i = 0; i < inserts; ++i) {
+      const FlatTuple t = row(rows + i);
+      const auto [count0, sum0] = publish();
+      micros.push_back(1e6 * SecondsOf([&] {
+                         Status s = (*db)->Insert("ingest", t);
+                         NF2_CHECK(s.ok()) << s.ToString();
+                       }));
+      const auto [count1, sum1] = publish();
+      NF2_CHECK(count1 - count0 == 1) << "one publish per autocommit";
+      publish_ns.push_back(static_cast<double>(sum1 - sum0));
+    }
+    const UpdateStats work = *(*db)->RelationUpdateStats("ingest") - stats0;
+    // Thm A-4: every insert composes into its group's tuple exactly
+    // once, whatever the size.
+    if (work.compositions != inserts || work.decompositions != 0 ||
+        (*(*db)->Relation("ingest"))->size() != 64) {
+      out.counters_identical = false;
+    }
+    double total = 0.0;
+    for (double us : micros) total += us;
+    std::sort(micros.begin(), micros.end());
+    out.ac_rows.push_back(rows);
+    out.ac_p50_us.push_back(micros[micros.size() / 2]);
+    out.ac_p99_us.push_back(micros[micros.size() * 99 / 100]);
+    std::sort(publish_ns.begin(), publish_ns.end());
+    out.ac_publish_ns.push_back(publish_ns[publish_ns.size() / 2]);
+    if (rows == sizes.front()) out.baseline_sec = total * 1e-6;
+    if (rows == sizes.back()) out.optimized_sec = total * 1e-6;
+    db->reset();
+    std::filesystem::remove_all(dir);
+  }
+  NF2_CHECK(out.counters_identical)
+      << "autocommit inserts did not compose exactly once each";
+  return out;
+}
+
 /// Embeds whether a concurrency floor (read scaling, shard writes) is
 /// enforceable on this host, and — when it is not — why, so a skipped
 /// gate is recorded in the JSON instead of being silent about the
@@ -920,9 +1021,9 @@ void WriteJson(const std::string& path, const KeyedConfig& config,
   std::ofstream file(path, std::ios::trunc);
   NF2_CHECK(file.is_open()) << "cannot write " << path;
   file << "{\n";
-  file << "  \"pr\": 10,\n";
-  file << "  \"title\": \"WAL-shipped read replicas with monotone "
-          "epoch:lsn stream positions\",\n";
+  file << "  \"pr\": 13,\n";
+  file << "  \"title\": \"Publish snapshots in O(delta): share index "
+          "postings and the dictionary between versions\",\n";
   // Scaling sections are only meaningful relative to the host's core
   // count; the checker reads this to decide whether to enforce floors.
   file << "  \"host_cores\": " << std::thread::hardware_concurrency()
@@ -1038,6 +1139,28 @@ void WriteJson(const std::string& path, const KeyedConfig& config,
       file << "      \"incremental_pages_skipped\": " << s.ckpt_pages_skipped
            << ",\n";
     }
+    if (s.name == "autocommit_ingest") {
+      auto list = [&](const char* key, const auto& values, int digits) {
+        file << "      \"" << key << "\": [";
+        for (size_t i = 0; i < values.size(); ++i) {
+          file << (i > 0 ? ", " : "") << Fmt(values[i], digits);
+        }
+        file << "],\n";
+      };
+      file << "      \"rows\": [";
+      for (size_t i = 0; i < s.ac_rows.size(); ++i) {
+        file << (i > 0 ? ", " : "") << s.ac_rows[i];
+      }
+      file << "],\n";
+      list("p50_us", s.ac_p50_us, 2);
+      list("p99_us", s.ac_p99_us, 2);
+      list("publish_ns", s.ac_publish_ns, 0);
+      file << "      \"p50_ratio_large_over_small\": "
+           << Fmt(s.ac_p50_us.back() / s.ac_p50_us.front(), 3) << ",\n";
+      file << "      \"publish_ratio_large_over_small\": "
+           << Fmt(s.ac_publish_ns.back() / s.ac_publish_ns.front(), 3)
+           << ",\n";
+    }
     if (s.name == "factorized_aggregation") {
       file << "      \"depths\": [";
       for (size_t d = 0; d < s.depths.size(); ++d) {
@@ -1059,7 +1182,7 @@ void WriteJson(const std::string& path, const KeyedConfig& config,
 }
 
 int Main(int argc, char** argv) {
-  std::string out_path = argc > 1 ? argv[1] : "BENCH_PR10.json";
+  std::string out_path = argc > 1 ? argv[1] : "BENCH_PR13.json";
   const size_t workload_rows =
       argc > 2 ? static_cast<size_t>(std::stoul(argv[2])) : 10000;
   NF2_CHECK(workload_rows >= 100) << "workload needs at least 100 rows";
@@ -1131,6 +1254,10 @@ int Main(int argc, char** argv) {
   sections.push_back(BenchCheckpointLatency(
       /*small_rows=*/std::max<size_t>(200, flat_rows / 8),
       /*large_rows=*/std::max<size_t>(1600, flat_rows), /*reps=*/5));
+  // Autocommit latency and publish time across a 100x size spread at a
+  // fixed NFR of 64 tuples; publish must stay flat.
+  sections.push_back(BenchAutocommitIngest({1000, 10000, 100000},
+                                           /*inserts=*/256));
   WriteJson(out_path, config, sections, durable_metrics);
 
   std::vector<std::vector<std::string>> rows;
@@ -1209,6 +1336,16 @@ int Main(int argc, char** argv) {
                 << " size spread; " << ckpt.ckpt_pages_written
                 << " pages written, " << ckpt.ckpt_pages_skipped
                 << " skipped)";
+  const Section& ac = by_name("autocommit_ingest");
+  std::string per_size;
+  for (size_t i = 0; i < ac.ac_rows.size(); ++i) {
+    per_size += StrCat(i > 0 ? ", " : "", ac.ac_rows[i], " rows: p50 ",
+                       Fmt(ac.ac_p50_us[i], 1), "us p99 ",
+                       Fmt(ac.ac_p99_us[i], 1), "us publish ",
+                       Fmt(ac.ac_publish_ns[i], 0), "ns");
+  }
+  NF2_LOG(Info) << "autocommit_ingest: " << per_size
+                << " (publish must stay flat: --publish-flat)";
   return 0;
 }
 

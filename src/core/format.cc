@@ -62,7 +62,7 @@ std::string RenderTable(const NfrRelation& rel, const std::string& title) {
   for (const Attribute& attr : rel.schema().attributes()) {
     header.push_back(attr.name);
   }
-  std::vector<NfrTuple> sorted = rel.tuples();
+  std::vector<NfrTuple> sorted = rel.tuples().ToVector();
   std::sort(sorted.begin(), sorted.end());
   std::vector<std::vector<std::string>> rows;
   rows.reserve(sorted.size());

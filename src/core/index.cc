@@ -1,97 +1,103 @@
 #include "core/index.h"
 
 #include <algorithm>
+#include <tuple>
 
 #include "util/logging.h"
 
 namespace nf2 {
 
-NfrIndex::NfrIndex(size_t degree) : degree_(degree), postings_(degree) {}
-
 NfrIndex::NfrIndex(size_t degree,
                    std::shared_ptr<const ValueDictionary> dict)
-    : degree_(degree), dict_(std::move(dict)), postings_by_id_(degree) {
-  NF2_CHECK(dict_ != nullptr) << "id-keyed NfrIndex needs a dictionary";
+    : degree_(degree), dict_(std::move(dict)), postings_(degree) {
+  NF2_CHECK(dict_ != nullptr) << "NfrIndex needs a dictionary";
 }
 
-void NfrIndex::AddTuple(size_t tuple_id, const NfrTuple& t) {
-  NF2_CHECK(!interned()) << "Value-keyed mutation on an id-keyed index";
-  NF2_CHECK(t.degree() == degree_);
-  for (size_t attr = 0; attr < degree_; ++attr) {
-    for (const Value& v : t.at(attr).values()) {
-      std::vector<size_t>& ids = postings_[attr][v];
-      auto it = std::lower_bound(ids.begin(), ids.end(), tuple_id);
-      NF2_DCHECK(it == ids.end() || *it != tuple_id);
-      ids.insert(it, tuple_id);
-    }
+void NfrIndex::AddPosting(size_t attr, ValueId v, size_t tuple_id) {
+  CowVector<Posting>& slots = postings_[attr];
+  if (v >= slots.size()) slots.resize(v + 1);
+  Posting& posting = slots.Mutable(v);
+  if (!posting) {
+    posting = Posting(std::vector<size_t>{tuple_id});
+    return;
   }
+  std::vector<size_t>& ids = posting.Mutable();
+  auto it = std::lower_bound(ids.begin(), ids.end(), tuple_id);
+  NF2_DCHECK(it == ids.end() || *it != tuple_id);
+  ids.insert(it, tuple_id);
 }
 
-void NfrIndex::RemoveTuple(size_t tuple_id, const NfrTuple& t) {
-  NF2_CHECK(!interned()) << "Value-keyed mutation on an id-keyed index";
-  NF2_CHECK(t.degree() == degree_);
-  for (size_t attr = 0; attr < degree_; ++attr) {
-    for (const Value& v : t.at(attr).values()) {
-      auto map_it = postings_[attr].find(v);
-      NF2_CHECK(map_it != postings_[attr].end())
-          << "index missing value " << v.ToString();
-      std::vector<size_t>& ids = map_it->second;
-      auto it = std::lower_bound(ids.begin(), ids.end(), tuple_id);
-      NF2_CHECK(it != ids.end() && *it == tuple_id)
-          << "index missing id for " << v.ToString();
-      ids.erase(it);
-      if (ids.empty()) {
-        postings_[attr].erase(map_it);
-      }
-    }
+bool NfrIndex::RemovePosting(size_t attr, ValueId v, size_t tuple_id) {
+  CowVector<Posting>& slots = postings_[attr];
+  NF2_CHECK(v < slots.size() && slots[v]) << "index missing value id " << v;
+  Posting& posting = slots.Mutable(v);
+  if (posting->size() == 1) {
+    // Dropping the last id releases the list: churn-heavy workloads
+    // must not hold peak capacity forever.
+    NF2_CHECK(posting->front() == tuple_id)
+        << "index missing id for value id " << v;
+    posting = Posting();
+    return true;
   }
+  std::vector<size_t>& ids = posting.Mutable();
+  auto it = std::lower_bound(ids.begin(), ids.end(), tuple_id);
+  NF2_CHECK(it != ids.end() && *it == tuple_id)
+      << "index missing id for value id " << v;
+  ids.erase(it);
+  return false;
 }
 
-void NfrIndex::MoveTuple(size_t from_id, size_t to_id, const NfrTuple& t) {
-  if (from_id == to_id) return;
-  RemoveTuple(from_id, t);
-  AddTuple(to_id, t);
+void NfrIndex::TrimSlots(size_t attr) {
+  // Interior empties must stay (their ValueIds may return), but the
+  // tail can always shrink.
+  CowVector<Posting>& slots = postings_[attr];
+  while (!slots.empty() && !slots.back()) {
+    slots.pop_back();
+  }
 }
 
 void NfrIndex::AddEncoded(size_t tuple_id, const EncodedTuple& t) {
-  NF2_CHECK(interned()) << "id-keyed mutation on a Value-keyed index";
   NF2_CHECK(t.size() == degree_);
   for (size_t attr = 0; attr < degree_; ++attr) {
-    std::vector<std::vector<size_t>>& slots = postings_by_id_[attr];
     for (ValueId v : t[attr].ids()) {
-      if (v >= slots.size()) slots.resize(v + 1);
-      std::vector<size_t>& ids = slots[v];
-      auto it = std::lower_bound(ids.begin(), ids.end(), tuple_id);
-      NF2_DCHECK(it == ids.end() || *it != tuple_id);
-      ids.insert(it, tuple_id);
+      AddPosting(attr, v, tuple_id);
     }
   }
 }
 
 void NfrIndex::RemoveEncoded(size_t tuple_id, const EncodedTuple& t) {
-  NF2_CHECK(interned()) << "id-keyed mutation on a Value-keyed index";
   NF2_CHECK(t.size() == degree_);
   for (size_t attr = 0; attr < degree_; ++attr) {
-    std::vector<std::vector<size_t>>& slots = postings_by_id_[attr];
     for (ValueId v : t[attr].ids()) {
-      NF2_CHECK(v < slots.size()) << "index missing value id " << v;
-      std::vector<size_t>& ids = slots[v];
-      auto it = std::lower_bound(ids.begin(), ids.end(), tuple_id);
-      NF2_CHECK(it != ids.end() && *it == tuple_id)
-          << "index missing id for value id " << v;
-      ids.erase(it);
-      // An emptied posting list keeps its heap buffer otherwise —
-      // churn-heavy workloads would hold peak capacity forever.
-      if (ids.empty()) {
-        std::vector<size_t>().swap(ids);
+      RemovePosting(attr, v, tuple_id);
+    }
+    TrimSlots(attr);
+  }
+}
+
+void NfrIndex::ReplaceEncoded(size_t tuple_id, const EncodedTuple& before,
+                              const EncodedTuple& after) {
+  NF2_CHECK(before.size() == degree_ && after.size() == degree_);
+  for (size_t attr = 0; attr < degree_; ++attr) {
+    if (before[attr] == after[attr]) continue;
+    const std::vector<ValueId>& old_ids = before[attr].ids();
+    const std::vector<ValueId>& new_ids = after[attr].ids();
+    bool emptied = false;
+    // Merge the two sorted id lists; only the differences move. Equal
+    // runs are skipped with std::mismatch, so a one-value change costs
+    // a couple of block compares rather than a step per value.
+    auto o = old_ids.begin();
+    auto n = new_ids.begin();
+    while (true) {
+      std::tie(o, n) = std::mismatch(o, old_ids.end(), n, new_ids.end());
+      if (o == old_ids.end() && n == new_ids.end()) break;
+      if (n == new_ids.end() || (o != old_ids.end() && *o < *n)) {
+        emptied |= RemovePosting(attr, *o++, tuple_id);
+      } else {
+        AddPosting(attr, *n++, tuple_id);
       }
     }
-    // Reclaim trailing empty slots. Interior empties must stay (their
-    // ValueIds may return), but the tail can always shrink — the
-    // value-keyed path erases empty map entries for the same reason.
-    while (!slots.empty() && slots.back().empty()) {
-      slots.pop_back();
-    }
+    if (emptied) TrimSlots(attr);
   }
 }
 
@@ -105,22 +111,17 @@ void NfrIndex::MoveEncoded(size_t from_id, size_t to_id,
 const std::vector<size_t>* NfrIndex::Postings(size_t attr,
                                               const Value& v) const {
   NF2_CHECK(attr < degree_);
-  if (interned()) {
-    std::optional<ValueId> id = dict_->Find(v);
-    if (!id.has_value()) return nullptr;
-    return PostingsById(attr, *id);
-  }
-  auto it = postings_[attr].find(v);
-  return it == postings_[attr].end() ? nullptr : &it->second;
+  std::optional<ValueId> id = dict_->Find(v);
+  if (!id.has_value()) return nullptr;
+  return PostingsById(attr, *id);
 }
 
 const std::vector<size_t>* NfrIndex::PostingsById(size_t attr,
                                                   ValueId id) const {
-  NF2_CHECK(interned());
   NF2_CHECK(attr < degree_);
-  const std::vector<std::vector<size_t>>& slots = postings_by_id_[attr];
-  if (id >= slots.size() || slots[id].empty()) return nullptr;
-  return &slots[id];
+  const CowVector<Posting>& slots = postings_[attr];
+  if (id >= slots.size()) return nullptr;
+  return slots[id].get();
 }
 
 std::vector<size_t> IntersectSorted(const std::vector<size_t>& a,
@@ -134,54 +135,34 @@ std::vector<size_t> IntersectSorted(const std::vector<size_t>& a,
 std::vector<size_t> NfrIndex::ContainingInRange(size_t attr,
                                                 const RangeBound& bound) const {
   NF2_CHECK(attr < degree_);
+  // Id-keyed slots carry no value order; bound-scan the dictionary's
+  // value order instead and union the in-range slots.
+  std::vector<ValueId> order = dict_->IdsInValueOrder();
+  auto value_less = [this](ValueId id, const Value& v) {
+    return dict_->value(id) < v;
+  };
+  auto less_value = [this](const Value& v, ValueId id) {
+    return v < dict_->value(id);
+  };
+  auto it = order.begin();
+  auto end = order.end();
+  if (bound.lower.has_value()) {
+    it = bound.lower_inclusive
+             ? std::lower_bound(order.begin(), order.end(), *bound.lower,
+                                value_less)
+             : std::upper_bound(order.begin(), order.end(), *bound.lower,
+                                less_value);
+  }
+  if (bound.upper.has_value()) {
+    end = bound.upper_inclusive
+              ? std::upper_bound(it, order.end(), *bound.upper, less_value)
+              : std::lower_bound(it, order.end(), *bound.upper, value_less);
+  }
   std::vector<size_t> out;
-  if (!interned()) {
-    // Bound-scan the sorted postings map: seek to the lower bound, walk
-    // forward until past the upper bound.
-    const std::map<Value, std::vector<size_t>>& per_attr = postings_[attr];
-    auto it = per_attr.begin();
-    if (bound.lower.has_value()) {
-      it = bound.lower_inclusive ? per_attr.lower_bound(*bound.lower)
-                                 : per_attr.upper_bound(*bound.lower);
-    }
-    for (; it != per_attr.end(); ++it) {
-      if (bound.upper.has_value()) {
-        if (bound.upper_inclusive ? *bound.upper < it->first
-                                  : !(it->first < *bound.upper)) {
-          break;
-        }
-      }
-      out.insert(out.end(), it->second.begin(), it->second.end());
-    }
-  } else {
-    // Id-keyed slots carry no value order; bound-scan the dictionary's
-    // value order instead and union the in-range slots.
-    std::vector<ValueId> order = dict_->IdsInValueOrder();
-    auto value_less = [this](ValueId id, const Value& v) {
-      return dict_->value(id) < v;
-    };
-    auto less_value = [this](const Value& v, ValueId id) {
-      return v < dict_->value(id);
-    };
-    auto it = order.begin();
-    auto end = order.end();
-    if (bound.lower.has_value()) {
-      it = bound.lower_inclusive
-               ? std::lower_bound(order.begin(), order.end(), *bound.lower,
-                                  value_less)
-               : std::upper_bound(order.begin(), order.end(), *bound.lower,
-                                  less_value);
-    }
-    if (bound.upper.has_value()) {
-      end = bound.upper_inclusive
-                ? std::upper_bound(it, order.end(), *bound.upper, less_value)
-                : std::lower_bound(it, order.end(), *bound.upper, value_less);
-    }
-    for (; it != end; ++it) {
-      const std::vector<size_t>* ids = PostingsById(attr, *it);
-      if (ids != nullptr) {
-        out.insert(out.end(), ids->begin(), ids->end());
-      }
+  for (; it != end; ++it) {
+    const std::vector<size_t>* ids = PostingsById(attr, *it);
+    if (ids != nullptr) {
+      out.insert(out.end(), ids->begin(), ids->end());
     }
   }
   std::sort(out.begin(), out.end());
@@ -189,39 +170,20 @@ std::vector<size_t> NfrIndex::ContainingInRange(size_t attr,
   return out;
 }
 
-std::vector<size_t> NfrIndex::ContainingAll(size_t attr,
-                                            const ValueSet& values) const {
-  NF2_CHECK(!values.empty());
-  const std::vector<size_t>* first = Postings(attr, values[0]);
-  if (first == nullptr) return {};
-  std::vector<size_t> out = *first;
-  for (size_t i = 1; i < values.size() && !out.empty(); ++i) {
-    const std::vector<size_t>* next = Postings(attr, values[i]);
-    if (next == nullptr) return {};
-    out = IntersectSorted(out, *next);
-  }
-  return out;
-}
-
-std::vector<size_t> NfrIndex::ContainingAllIds(size_t attr,
-                                               const IdSet& ids) const {
+std::vector<size_t> NfrIndex::ContainingAllIds(
+    size_t attr, const IdSet& ids, std::optional<size_t> exclude) const {
   NF2_CHECK(!ids.empty());
   const std::vector<size_t>* first = PostingsById(attr, ids[0]);
   if (first == nullptr) return {};
   std::vector<size_t> out = *first;
+  if (exclude.has_value()) {
+    auto it = std::lower_bound(out.begin(), out.end(), *exclude);
+    if (it != out.end() && *it == *exclude) out.erase(it);
+  }
   for (size_t i = 1; i < ids.size() && !out.empty(); ++i) {
     const std::vector<size_t>* next = PostingsById(attr, ids[i]);
     if (next == nullptr) return {};
     out = IntersectSorted(out, *next);
-  }
-  return out;
-}
-
-std::vector<size_t> NfrIndex::ContainingTuple(const NfrTuple& t) const {
-  NF2_CHECK(t.degree() == degree_);
-  std::vector<size_t> out = ContainingAll(0, t.at(0));
-  for (size_t attr = 1; attr < degree_ && !out.empty(); ++attr) {
-    out = IntersectSorted(out, ContainingAll(attr, t.at(attr)));
   }
   return out;
 }
@@ -237,25 +199,17 @@ std::vector<size_t> NfrIndex::ContainingEncoded(const EncodedTuple& t) const {
 
 size_t NfrIndex::slot_count() const {
   size_t total = 0;
-  for (const auto& per_attr : postings_by_id_) {
-    total += per_attr.size();
+  for (const CowVector<Posting>& slots : postings_) {
+    total += slots.size();
   }
   return total;
 }
 
 size_t NfrIndex::entry_count() const {
   size_t total = 0;
-  if (interned()) {
-    for (const auto& per_attr : postings_by_id_) {
-      for (const auto& ids : per_attr) {
-        total += ids.size();
-      }
-    }
-    return total;
-  }
-  for (const auto& per_attr : postings_) {
-    for (const auto& [value, ids] : per_attr) {
-      total += ids.size();
+  for (const CowVector<Posting>& slots : postings_) {
+    for (const Posting& posting : slots) {
+      if (posting) total += posting->size();
     }
   }
   return total;

@@ -70,11 +70,9 @@ std::ostream& operator<<(std::ostream& os, const FlatRelation& rel) {
 }
 
 NfrRelation::NfrRelation(Schema schema, std::vector<NfrTuple> tuples)
-    : schema_(std::move(schema)), tuples_(std::move(tuples)) {
-  for (const NfrTuple& t : tuples_) {
-    NF2_CHECK(t.degree() == schema_.degree())
-        << "NFR tuple degree mismatch";
-    NF2_CHECK(t.IsWellFormed()) << "NFR tuple has empty component";
+    : schema_(std::move(schema)) {
+  for (NfrTuple& t : tuples) {
+    Add(std::move(t));
   }
 }
 
@@ -101,9 +99,16 @@ void NfrRelation::Add(NfrTuple t) {
 void NfrRelation::RemoveAt(size_t index) {
   NF2_CHECK(index < tuples_.size());
   if (index + 1 != tuples_.size()) {
-    tuples_[index] = std::move(tuples_.back());
+    tuples_.Mutable(index) = tuples_.back();
   }
   tuples_.pop_back();
+}
+
+void NfrRelation::ReplaceAt(size_t index, NfrTuple t) {
+  NF2_CHECK(index < tuples_.size());
+  NF2_CHECK(t.degree() == schema_.degree()) << "NFR tuple degree mismatch";
+  NF2_CHECK(t.IsWellFormed()) << "NFR tuple has empty component";
+  tuples_.Mutable(index) = std::move(t);
 }
 
 bool NfrRelation::Remove(const NfrTuple& t) {
@@ -186,8 +191,8 @@ bool NfrRelation::EqualsAsSet(const NfrRelation& other) const {
   if (schema_ != other.schema_ || tuples_.size() != other.tuples_.size()) {
     return false;
   }
-  std::vector<NfrTuple> a = tuples_;
-  std::vector<NfrTuple> b = other.tuples_;
+  std::vector<NfrTuple> a = tuples_.ToVector();
+  std::vector<NfrTuple> b = other.tuples_.ToVector();
   std::sort(a.begin(), a.end());
   std::sort(b.begin(), b.end());
   return a == b;
@@ -197,12 +202,19 @@ bool NfrRelation::EquivalentTo(const NfrRelation& other) const {
   return Expand() == other.Expand();
 }
 
-void NfrRelation::SortTuples() { std::sort(tuples_.begin(), tuples_.end()); }
+void NfrRelation::SortTuples() {
+  std::vector<NfrTuple> sorted = tuples_.ToVector();
+  std::sort(sorted.begin(), sorted.end());
+  tuples_.clear();
+  for (NfrTuple& t : sorted) {
+    tuples_.push_back(std::move(t));
+  }
+}
 
 std::string NfrRelation::ToString() const {
   std::string out = StrCat("NfrRelation", schema_.ToString(), " {",
                            tuples_.size(), " tuples}\n");
-  std::vector<NfrTuple> sorted = tuples_;
+  std::vector<NfrTuple> sorted = tuples_.ToVector();
   std::sort(sorted.begin(), sorted.end());
   for (const NfrTuple& t : sorted) {
     out += StrCat("  ", t.ToString(schema_), "\n");

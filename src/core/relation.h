@@ -8,6 +8,7 @@
 
 #include "core/schema.h"
 #include "core/tuple.h"
+#include "util/cow.h"
 #include "util/result.h"
 
 namespace nf2 {
@@ -65,6 +66,10 @@ std::ostream& operator<<(std::ostream& os, const FlatRelation& rel);
 /// from a 1NF relation by composition/decomposition, which means the
 /// expansions of distinct tuples are pairwise disjoint and R* carries no
 /// duplicates.
+///
+/// Tuples live in a CowVector, so copying a relation shares them: the
+/// copy costs O(1) and a later write to either side clones only the
+/// nodes on the path to the written position.
 class NfrRelation {
  public:
   NfrRelation() = default;
@@ -79,7 +84,7 @@ class NfrRelation {
   size_t size() const { return tuples_.size(); }
   bool empty() const { return tuples_.empty(); }
 
-  const std::vector<NfrTuple>& tuples() const { return tuples_; }
+  const CowVector<NfrTuple>& tuples() const { return tuples_; }
   const NfrTuple& tuple(size_t i) const;
 
   /// Adds a tuple (no disjointness check — callers that need the
@@ -92,6 +97,9 @@ class NfrRelation {
   /// printing and comparison sort independently). Index-maintaining
   /// callers rely on exactly this move pattern.
   void RemoveAt(size_t index);
+
+  /// Overwrites the tuple at `index` (same checks as Add).
+  void ReplaceAt(size_t index, NfrTuple t);
 
   /// Removes the first tuple equal to `t`; returns false if absent.
   bool Remove(const NfrTuple& t);
@@ -133,7 +141,7 @@ class NfrRelation {
 
  private:
   Schema schema_;
-  std::vector<NfrTuple> tuples_;
+  CowVector<NfrTuple> tuples_;
 };
 
 std::ostream& operator<<(std::ostream& os, const NfrRelation& rel);

@@ -79,85 +79,79 @@ std::string UpdateStats::ToString() const {
 }
 
 CanonicalRelation::CanonicalRelation(Schema schema, Permutation order,
-                                     SearchMode mode, Encoding encoding,
+                                     SearchMode mode,
                                      std::shared_ptr<ValueDictionary> dict)
     : relation_(std::move(schema)),
       order_(std::move(order)),
       mode_(mode),
-      encoding_(encoding) {
+      dict_(dict != nullptr ? std::move(dict)
+                            : std::make_shared<ValueDictionary>()) {
   NF2_CHECK(IsValidPermutation(order_, relation_.schema().degree()))
       << "CanonicalRelation: invalid nest order";
-  if (encoding_ == Encoding::kInterned) {
-    dict_ = dict != nullptr ? std::move(dict)
-                            : std::make_shared<ValueDictionary>();
-  } else {
-    NF2_CHECK(dict == nullptr)
-        << "a dictionary requires Encoding::kInterned";
-  }
   if (mode_ == SearchMode::kIndexed) {
-    if (encoding_ == Encoding::kInterned) {
-      index_.emplace(relation_.schema().degree(), dict_);
-    } else {
-      index_.emplace(relation_.schema().degree());
-    }
+    index_.emplace(relation_.schema().degree(), dict_);
   }
 }
 
 Result<CanonicalRelation> CanonicalRelation::FromFlat(
     const FlatRelation& flat, Permutation order, SearchMode mode,
-    Encoding encoding, std::shared_ptr<ValueDictionary> dict) {
+    std::shared_ptr<ValueDictionary> dict) {
   if (!IsValidPermutation(order, flat.degree())) {
     return Status::InvalidArgument(
         "nest order is not a permutation of the schema positions");
   }
-  CanonicalRelation out(flat.schema(), std::move(order), mode, encoding,
+  CanonicalRelation out(flat.schema(), std::move(order), mode,
                         std::move(dict));
-  NfrRelation canonical = encoding == Encoding::kValue
-                              ? CanonicalFormLegacy(flat, out.order_)
-                              : CanonicalForm(flat, out.order_);
+  NfrRelation canonical = CanonicalForm(flat, out.order_);
   for (const NfrTuple& t : canonical.tuples()) {
-    out.AddTuple(t);
+    out.AddTuple(t, InternTuple(out.dict_.get(), t));
   }
   return out;
 }
 
-void CanonicalRelation::AddTuple(NfrTuple t) {
-  if (dict_ != nullptr) {
-    EncodedTuple encoded = InternTuple(dict_.get(), t);
-    if (index_.has_value()) {
-      index_->AddEncoded(relation_.size(), encoded);
-    }
-    encoded_.push_back(std::move(encoded));
-  } else if (index_.has_value()) {
-    index_->AddTuple(relation_.size(), t);
+void CanonicalRelation::AddTuple(NfrTuple t, EncodedTuple enc) {
+  NF2_DCHECK(!vacant_.has_value());
+  if (index_.has_value()) {
+    index_->AddEncoded(relation_.size(), enc);
   }
+  encoded_.push_back(std::make_shared<const EncodedTuple>(std::move(enc)));
   relation_.Add(std::move(t));
 }
 
 NfrTuple CanonicalRelation::TakeTupleAt(size_t index) {
+  NF2_DCHECK(!vacant_.has_value());
   NfrTuple out = relation_.tuple(index);
   size_t last = relation_.size() - 1;
-  if (dict_ != nullptr) {
-    if (index_.has_value()) {
-      index_->RemoveEncoded(index, encoded_[index]);
-      // NfrRelation::RemoveAt swap-removes: the last tuple moves into
-      // `index`.
-      if (index != last) {
-        index_->MoveEncoded(last, index, encoded_[last]);
-      }
-    }
+  if (index_.has_value()) {
+    index_->RemoveEncoded(index, *encoded_[index]);
+    // NfrRelation::RemoveAt swap-removes: the last tuple moves into
+    // `index`.
     if (index != last) {
-      encoded_[index] = std::move(encoded_[last]);
-    }
-    encoded_.pop_back();
-  } else if (index_.has_value()) {
-    index_->RemoveTuple(index, out);
-    if (index != last) {
-      index_->MoveTuple(last, index, relation_.tuple(last));
+      index_->MoveEncoded(last, index, *encoded_[last]);
     }
   }
+  if (index != last) {
+    encoded_.Mutable(index) = encoded_[last];
+  }
+  encoded_.pop_back();
   relation_.RemoveAt(index);
   return out;
+}
+
+void CanonicalRelation::ReplaceTupleAt(size_t index, NfrTuple t,
+                                       EncodedTuple enc) {
+  if (index_.has_value()) {
+    index_->ReplaceEncoded(index, *encoded_[index], enc);
+  }
+  encoded_.Mutable(index) =
+      std::make_shared<const EncodedTuple>(std::move(enc));
+  relation_.ReplaceAt(index, std::move(t));
+}
+
+void CanonicalRelation::DropVacant() {
+  size_t slot = *vacant_;
+  vacant_.reset();
+  TakeTupleAt(slot);
 }
 
 std::optional<EncodedTuple> CanonicalRelation::TryEncodeFlat(
@@ -173,34 +167,27 @@ std::optional<EncodedTuple> CanonicalRelation::TryEncodeFlat(
 }
 
 size_t CanonicalRelation::FindContainingTuple(const FlatTuple& t) const {
-  if (dict_ != nullptr) {
-    std::optional<EncodedTuple> probe = TryEncodeFlat(t);
-    if (!probe.has_value()) return relation_.size();  // Unseen value.
-    if (index_.has_value()) {
-      std::vector<size_t> ids = index_->ContainingEncoded(*probe);
-      NF2_DCHECK(ids.size() <= 1) << "disjoint-expansion invariant broken";
-      return ids.empty() ? relation_.size() : ids.front();
-    }
-    // Scan over the encoded mirror: an NFR tuple contains the simple
-    // tuple iff every component holds the corresponding id.
-    for (size_t i = 0; i < encoded_.size(); ++i) {
-      bool contains = true;
-      for (size_t attr = 0; attr < t.degree(); ++attr) {
-        if (!encoded_[i][attr].Contains((*probe)[attr].single())) {
-          contains = false;
-          break;
-        }
-      }
-      if (contains) return i;
-    }
-    return relation_.size();
-  }
+  std::optional<EncodedTuple> probe = TryEncodeFlat(t);
+  if (!probe.has_value()) return relation_.size();  // Unseen value.
   if (index_.has_value()) {
-    std::vector<size_t> ids = index_->ContainingTuple(NfrTuple::FromFlat(t));
+    std::vector<size_t> ids = index_->ContainingEncoded(*probe);
     NF2_DCHECK(ids.size() <= 1) << "disjoint-expansion invariant broken";
     return ids.empty() ? relation_.size() : ids.front();
   }
-  return relation_.FindContaining(t);
+  // Scan over the encoded mirror: an NFR tuple contains the simple
+  // tuple iff every component holds the corresponding id.
+  for (size_t i = 0; i < encoded_.size(); ++i) {
+    const EncodedTuple& s = *encoded_[i];
+    bool contains = true;
+    for (size_t attr = 0; attr < t.degree(); ++attr) {
+      if (!s[attr].Contains((*probe)[attr].single())) {
+        contains = false;
+        break;
+      }
+    }
+    if (contains) return i;
+  }
+  return relation_.size();
 }
 
 NfrRelation CanonicalRelation::TuplesContaining(size_t attr,
@@ -248,10 +235,8 @@ NfrRelation CanonicalRelation::TuplesInRange(size_t attr,
 NfrRelation CanonicalRelation::TuplesContainingId(size_t attr,
                                                   ValueId id) const {
   NF2_CHECK(attr < schema().degree()) << "attribute out of range";
-  NF2_CHECK(encoding_ == Encoding::kInterned)
-      << "TuplesContainingId requires an interned relation";
   NfrRelation out(schema());
-  if (index_.has_value() && index_->interned()) {
+  if (index_.has_value()) {
     const std::vector<size_t>* ids = index_->PostingsById(attr, id);
     if (ids != nullptr) {
       for (size_t tuple_id : *ids) {
@@ -261,7 +246,7 @@ NfrRelation CanonicalRelation::TuplesContainingId(size_t attr,
     return out;
   }
   for (size_t i = 0; i < encoded_.size(); ++i) {
-    if (encoded_[i].at(attr).Contains(id)) {
+    if (encoded_[i]->at(attr).Contains(id)) {
       out.Add(relation_.tuple(i));
     }
   }
@@ -284,7 +269,9 @@ Status CanonicalRelation::Insert(const FlatTuple& t) {
         StrCat("tuple ", t.ToString(), " already present"));
   }
   ScopedNsTimer timer(&stats_.recons_ns, metrics_.recons_ns);
-  Recons(NfrTuple::FromFlat(t), /*depth=*/0);
+  NfrTuple nfr = NfrTuple::FromFlat(t);
+  EncodedTuple enc = InternTuple(dict_.get(), nfr);
+  Recons(std::move(nfr), std::move(enc), /*depth=*/0);
   return Status::OK();
 }
 
@@ -299,7 +286,12 @@ Status CanonicalRelation::Delete(const FlatTuple& t) {
   if (idx == relation_.size()) {
     return Status::NotFound(StrCat("tuple ", t.ToString(), " not present"));
   }
-  NfrTuple q = TakeTupleAt(idx);
+  EncodedTuple probe = *TryEncodeFlat(t);
+  NfrTuple q = relation_.tuple(idx);
+  EncodedTuple q_enc = *encoded_[idx];
+  // q stays stored as the vacant slot: its first remainder takes the
+  // slot over (O(delta) on the index) unless it merges elsewhere.
+  vacant_ = idx;
   // Unnest q on each attribute from the latest-nested down, extracting
   // t's value and re-inserting the remainder through recons (§4.3).
   for (size_t k = order_.size(); k-- > 0;) {
@@ -308,37 +300,20 @@ Status CanonicalRelation::Delete(const FlatTuple& t) {
     Result<Decomposition> split = Decompose(q, attr, t.at(attr));
     NF2_CHECK(split.ok()) << split.status().ToString();
     BumpMirrored(&stats_.decompositions, metrics_.decompositions);
+    EncodedTuple remainder_enc = q_enc;
+    remainder_enc[attr] = q_enc[attr].Difference(probe[attr]);
+    q_enc[attr] = probe[attr];
     {
       ScopedNsTimer timer(&stats_.recons_ns, metrics_.recons_ns);
-      Recons(std::move(split->remainder), /*depth=*/0);
+      Recons(std::move(split->remainder), std::move(remainder_enc),
+             /*depth=*/0);
     }
     q = std::move(split->extracted);
   }
   // q is now exactly the simple tuple t; it stays deleted.
   NF2_DCHECK(q.IsSimple());
+  if (vacant_.has_value()) DropVacant();
   return Status::OK();
-}
-
-bool CanonicalRelation::IsCandidateAt(const NfrTuple& s, const NfrTuple& t,
-                                      size_t m) const {
-  const size_t n = order_.size();
-  for (size_t k = 0; k < n; ++k) {
-    size_t attr = order_[k];
-    if (k < m) {
-      // Earlier-nested attributes must agree exactly (they are the
-      // components composition will require equal and that no further
-      // unnesting may touch).
-      if (s.at(attr) != t.at(attr)) return false;
-    } else if (k == m) {
-      // The composition attribute: t brings genuinely new values.
-      if (!s.at(attr).IsDisjointFrom(t.at(attr))) return false;
-    } else {
-      // Later-nested attributes can be unnested down to t's values
-      // (Lemma A-2), so coverage suffices.
-      if (!t.at(attr).IsSubsetOf(s.at(attr))) return false;
-    }
-  }
-  return true;
 }
 
 bool CanonicalRelation::IsCandidateAtEncoded(const EncodedTuple& s,
@@ -359,20 +334,14 @@ bool CanonicalRelation::IsCandidateAtEncoded(const EncodedTuple& s,
 }
 
 std::optional<CanonicalRelation::Candidate> CanonicalRelation::FindCandidate(
-    const NfrTuple& t) {
+    const EncodedTuple& probe) {
   ScopedNsTimer timer(&stats_.find_candidate_ns, metrics_.find_candidate_ns);
   const size_t n = order_.size();
-  // In interned mode the probe is encoded once (interning any values it
-  // introduces) and every comparison below is an integer merge against
-  // the encoded mirror.
-  EncodedTuple probe;
-  if (dict_ != nullptr) {
-    probe = InternTuple(dict_.get(), t);
-  }
+  // Every comparison below is an integer merge against the encoded
+  // mirror.
   auto is_candidate = [&](size_t i, size_t m) {
     BumpMirrored(&stats_.candidate_scans, metrics_.candidate_scans);
-    return dict_ != nullptr ? IsCandidateAtEncoded(encoded_[i], probe, m)
-                            : IsCandidateAt(relation_.tuple(i), t, m);
+    return IsCandidateAtEncoded(*encoded_[i], probe, m);
   };
   if (!index_.has_value()) {
     // Scan nest-order positions from the first-nested attribute; Lemma
@@ -380,7 +349,7 @@ std::optional<CanonicalRelation::Candidate> CanonicalRelation::FindCandidate(
     // wants the smallest such position.
     for (size_t m = 0; m < n; ++m) {
       for (size_t i = 0; i < relation_.size(); ++i) {
-        if (is_candidate(i, m)) {
+        if (i != vacant_ && is_candidate(i, m)) {
           return Candidate{i, m};
         }
       }
@@ -395,9 +364,7 @@ std::optional<CanonicalRelation::Candidate> CanonicalRelation::FindCandidate(
   std::vector<std::vector<size_t>> containing(n);
   for (size_t k = 0; k < n; ++k) {
     containing[k] =
-        dict_ != nullptr
-            ? index_->ContainingAllIds(order_[k], probe[order_[k]])
-            : index_->ContainingAll(order_[k], t.at(order_[k]));
+        index_->ContainingAllIds(order_[k], probe[order_[k]], vacant_);
   }
   // prefix[k] = intersection of containing[0..k-1].
   std::vector<std::vector<size_t>> suffix(n + 1);
@@ -420,8 +387,9 @@ std::optional<CanonicalRelation::Candidate> CanonicalRelation::FindCandidate(
       if (prefix_is_universe) {
         // Degenerate degree-1 relation: every tuple is a candidate
         // prospect.
-        ids.resize(relation_.size());
-        for (size_t i = 0; i < relation_.size(); ++i) ids[i] = i;
+        for (size_t i = 0; i < relation_.size(); ++i) {
+          if (i != vacant_) ids.push_back(i);
+        }
       }
     }
     for (size_t i : ids) {
@@ -437,17 +405,49 @@ std::optional<CanonicalRelation::Candidate> CanonicalRelation::FindCandidate(
   return std::nullopt;
 }
 
-void CanonicalRelation::Recons(NfrTuple t, int depth) {
+void CanonicalRelation::Recons(NfrTuple t, EncodedTuple enc, int depth) {
   NF2_CHECK(depth < kMaxReconsDepth)
       << "recons recursion exceeded bound — canonical invariant broken";
   BumpMirrored(&stats_.recons_calls, metrics_.recons_calls);
-  std::optional<Candidate> cand = FindCandidate(t);
+  std::optional<Candidate> cand = FindCandidate(enc);
   if (!cand.has_value()) {
-    AddTuple(std::move(t));
+    if (vacant_.has_value()) {
+      size_t slot = *vacant_;
+      vacant_.reset();
+      ReplaceTupleAt(slot, std::move(t), std::move(enc));
+    } else {
+      AddTuple(std::move(t), std::move(enc));
+    }
+    return;
+  }
+  if (vacant_.has_value()) {
+    // t merges into another tuple, so the one it superseded goes away
+    // for good (the swap-remove may move the candidate).
+    if (cand->tuple_index == relation_.size() - 1) {
+      cand->tuple_index = *vacant_;
+    }
+    DropVacant();
+  }
+  const size_t n = order_.size();
+  const size_t m_attr = order_[cand->m_pos];
+  const NfrTuple& stored = relation_.tuple(cand->tuple_index);
+  bool needs_unnest = false;
+  for (size_t k = cand->m_pos + 1; k < n && !needs_unnest; ++k) {
+    needs_unnest = stored.at(order_[k]) != t.at(order_[k]);
+  }
+  EncodedTuple p_enc = *encoded_[cand->tuple_index];
+  if (!needs_unnest) {
+    // p already matches t outside the composition attribute: compose
+    // and let the composed tuple take p's slot.
+    NfrTuple w = Compose(stored, t, m_attr);
+    p_enc[m_attr] = p_enc[m_attr].Union(enc[m_attr]);
+    BumpMirrored(&stats_.compositions, metrics_.compositions);
+    vacant_ = cand->tuple_index;
+    // The composed tuple may itself compose further (Lemma A-3).
+    Recons(std::move(w), std::move(p_enc), depth + 1);
     return;
   }
   NfrTuple p = TakeTupleAt(cand->tuple_index);
-  const size_t n = order_.size();
   // Unnest p on later-nested attributes until it matches t there,
   // re-inserting each remainder recursively (§4.2 procedure recons).
   for (size_t k = n; k-- > cand->m_pos + 1;) {
@@ -456,18 +456,21 @@ void CanonicalRelation::Recons(NfrTuple t, int depth) {
     Result<Decomposition> split = DecomposeSubset(p, attr, t.at(attr));
     NF2_CHECK(split.ok()) << split.status().ToString();
     BumpMirrored(&stats_.decompositions, metrics_.decompositions);
-    Recons(std::move(split->remainder), depth + 1);
+    EncodedTuple remainder_enc = p_enc;
+    remainder_enc[attr] = p_enc[attr].Difference(enc[attr]);
+    p_enc[attr] = enc[attr];
+    Recons(std::move(split->remainder), std::move(remainder_enc), depth + 1);
     p = std::move(split->extracted);
   }
   // p now agrees with t everywhere except the composition attribute.
-  size_t m_attr = order_[cand->m_pos];
   NF2_CHECK(ComposableOn(p, t, m_attr))
       << "candidate not composable after unnesting: p="
       << p.ToString(schema()) << " t=" << t.ToString(schema());
   NfrTuple w = Compose(p, t, m_attr);
+  p_enc[m_attr] = p_enc[m_attr].Union(enc[m_attr]);
   BumpMirrored(&stats_.compositions, metrics_.compositions);
   // The composed tuple may itself compose further (Lemma A-3).
-  Recons(std::move(w), depth + 1);
+  Recons(std::move(w), std::move(p_enc), depth + 1);
 }
 
 NfrRelation RebuildCanonicalAfterInsert(const NfrRelation& r,

@@ -58,29 +58,20 @@ class CanonicalRelation {
   /// Both produce identical relations; only the search cost differs.
   enum class SearchMode { kScan, kIndexed };
 
-  /// Which representation the candidate/containment searches run on.
-  /// kValue is the untouched pre-dictionary path, kept as the
-  /// comparison control; kInterned maintains an id-encoded mirror of
-  /// every tuple against a ValueDictionary, so the hot searches compare
-  /// and hash dense integers. The two modes execute the same algebra —
-  /// composition/decomposition/recons counts are bit-identical.
-  enum class Encoding { kValue, kInterned };
-
   /// An empty canonical relation. `order` must be a permutation of the
-  /// schema's positions; order[0] is nested first. When `dict` is null
-  /// and `encoding` is kInterned, the relation owns a private
-  /// dictionary; the engine passes its per-database dictionary instead
-  /// so ids are shared across relations.
+  /// schema's positions; order[0] is nested first. Every tuple is
+  /// mirrored in id-encoded form against `dict`, so the hot searches
+  /// compare and hash dense integers. When `dict` is null the relation
+  /// owns a private dictionary; the engine passes its per-database
+  /// dictionary instead so ids are shared across relations.
   CanonicalRelation(Schema schema, Permutation order,
                     SearchMode mode = SearchMode::kIndexed,
-                    Encoding encoding = Encoding::kInterned,
                     std::shared_ptr<ValueDictionary> dict = nullptr);
 
   /// Builds the canonical form of an existing 1NF relation.
   static Result<CanonicalRelation> FromFlat(
       const FlatRelation& flat, Permutation order,
       SearchMode mode = SearchMode::kIndexed,
-      Encoding encoding = Encoding::kInterned,
       std::shared_ptr<ValueDictionary> dict = nullptr);
 
   const Schema& schema() const { return relation_.schema(); }
@@ -101,17 +92,19 @@ class CanonicalRelation {
 
   /// The NFR tuples whose `attr` component holds at least one value
   /// inside `bound` — a range query answered by a bound-scan of the
-  /// sorted index postings when available (kIndexed/kInterned), falling
-  /// back to a scan otherwise. The candidates for `attr < v` & co.
+  /// index postings in dictionary value order when available (kIndexed;
+  /// writer-side only, since it materializes the dictionary's ranks),
+  /// falling back to a scan otherwise. The candidates for `attr < v`
+  /// & co.
   NfrRelation TuplesInRange(size_t attr, const RangeBound& bound) const;
 
-  /// Id-space twin of TuplesContaining for kInterned relations: the
-  /// caller resolves `value` to its ValueId against a dictionary of its
-  /// choosing, and the lookup then never touches dict_ — which is what
-  /// lets a snapshot reader (engine/snapshot.h) answer point queries
-  /// against a frozen dictionary while writers intern into the live
-  /// one. Answered from the inverted index when available, falling
-  /// back to a scan of the encoded mirror.
+  /// Id-space twin of TuplesContaining: the caller resolves `value` to
+  /// its ValueId against a dictionary of its choosing, and the lookup
+  /// then never touches dict_ — which is what lets a snapshot reader
+  /// (engine/snapshot.h) answer point queries against a frozen
+  /// dictionary view while writers intern into the live one. Answered
+  /// from the inverted index when available, falling back to a scan of
+  /// the encoded mirror.
   NfrRelation TuplesContainingId(size_t attr, ValueId id) const;
 
   /// §4.2: inserts simple tuple `t`, restoring canonical form via the
@@ -134,20 +127,19 @@ class CanonicalRelation {
   void set_metrics(const UpdatePathMetrics& metrics) { metrics_ = metrics; }
 
   SearchMode search_mode() const { return mode_; }
-  Encoding encoding() const { return encoding_; }
 
-  /// The dictionary backing the interned representation (null in
-  /// kValue mode).
+  /// The dictionary backing the encoded mirror.
   const std::shared_ptr<ValueDictionary>& dictionary() const {
     return dict_;
   }
 
  private:
-  /// The paper's procedure "recons": repeatedly merge `t` into the
-  /// relation via its candidate tuple, splitting the candidate on
-  /// later-nested attributes as needed; adds `t` verbatim when no
-  /// candidate exists.
-  void Recons(NfrTuple t, int depth);
+  /// The paper's procedure "recons": repeatedly merge `t` (whose id
+  /// encoding is `enc`) into the relation via its candidate tuple,
+  /// splitting the candidate on later-nested attributes as needed;
+  /// stores `t` when no candidate exists — in the vacant slot if there
+  /// is one, else appended.
+  void Recons(NfrTuple t, EncodedTuple enc, int depth);
 
   struct Candidate {
     size_t tuple_index;  // Index into relation_.
@@ -160,19 +152,23 @@ class CanonicalRelation {
   /// attribute, covers t on every later-nested attribute, and is
   /// disjoint from t on the m-th — then unnesting s on the later-nested
   /// attributes (Lemma A-2) makes it composable with t over m.
-  std::optional<Candidate> FindCandidate(const NfrTuple& t);
+  /// The vacant slot, if any, is treated as absent.
+  std::optional<Candidate> FindCandidate(const EncodedTuple& probe);
 
-  /// True when tuple `s` is a candidate for `t` at nest position `m`.
-  bool IsCandidateAt(const NfrTuple& s, const NfrTuple& t, size_t m) const;
-
-  /// Id-space twin of IsCandidateAt — pure integer merges.
+  /// True when encoded tuple `s` is a candidate for `t` at nest
+  /// position `m` — pure integer merges.
   bool IsCandidateAtEncoded(const EncodedTuple& s, const EncodedTuple& t,
                             size_t m) const;
 
-  /// Index-maintaining mutations of relation_ (and, in kInterned mode,
-  /// of the encoded mirror).
-  void AddTuple(NfrTuple t);
+  /// Index-maintaining mutations of relation_ and the encoded mirror.
+  /// `enc` must be the encoding of `t`.
+  void AddTuple(NfrTuple t, EncodedTuple enc);
   NfrTuple TakeTupleAt(size_t index);
+  /// Overwrites the tuple at `index`, updating only the postings of the
+  /// values that differ — O(changed values), not O(tuple).
+  void ReplaceTupleAt(size_t index, NfrTuple t, EncodedTuple enc);
+  /// Removes the vacant slot's tuple for good.
+  void DropVacant();
 
   /// The unique tuple whose expansion contains `t`, or size() if none.
   size_t FindContainingTuple(const FlatTuple& t) const;
@@ -182,13 +178,23 @@ class CanonicalRelation {
   /// stored tuple can contain `t`).
   std::optional<EncodedTuple> TryEncodeFlat(const FlatTuple& t) const;
 
+  // Copying a CanonicalRelation is O(degree): the tuples, the encoded
+  // mirror and the index postings all live in CowVectors whose nodes
+  // the copy shares (what Database::PublishSnapshot relies on).
   NfrRelation relation_;
   Permutation order_;
   SearchMode mode_;
-  Encoding encoding_;
-  std::shared_ptr<ValueDictionary> dict_;  // kInterned only.
-  std::vector<EncodedTuple> encoded_;      // Mirror of relation_ (kInterned).
+  std::shared_ptr<ValueDictionary> dict_;
+  // Mirror of relation_; an encoded tuple is never changed once added.
+  CowVector<std::shared_ptr<const EncodedTuple>> encoded_;
   std::optional<NfrIndex> index_;
+  // During one Insert/Delete: the slot of a tuple that the update has
+  // logically removed but left stored, so that the tuple replacing it
+  // (the composition of the candidate, or the remainder of a delete)
+  // can take its slot with an O(delta) postings update instead of a
+  // remove + append that re-indexes every value of both. Candidate
+  // searches skip it. Always empty between operations.
+  std::optional<size_t> vacant_;
   UpdateStats stats_;
   UpdatePathMetrics metrics_;  // All-null when not wired to a registry.
 };

@@ -8,13 +8,96 @@
 
 namespace nf2 {
 
+namespace dict_internal {
+
+std::pair<size_t, size_t> ValueStore::Locate(ValueId id) {
+  const uint64_t n = static_cast<uint64_t>(id) + 1;
+  const size_t segment = 63 - static_cast<size_t>(__builtin_clzll(n));
+  return {segment, static_cast<size_t>(n - (uint64_t{1} << segment))};
+}
+
+void ValueStore::Append(ValueId id, Value v) {
+  auto [segment, offset] = Locate(id);
+  if (offset == 0) {
+    segments_[segment] = std::make_unique<Value[]>(size_t{1} << segment);
+  }
+  segments_[segment][offset] = std::move(v);
+}
+
+IdTable::IdTable(size_t capacity)
+    : slots_(std::make_unique<std::atomic<ValueId>[]>(capacity)),
+      mask_(capacity - 1) {
+  NF2_CHECK(capacity > 0 && (capacity & mask_) == 0)
+      << "IdTable capacity must be a power of two";
+  for (size_t i = 0; i < capacity; ++i) {
+    slots_[i].store(kEmpty, std::memory_order_relaxed);
+  }
+}
+
+size_t IdTable::Home(size_t hash) const {
+  // Value::Hash of an INT is the integer plus a constant, so consecutive
+  // keys would fill one contiguous run of slots and every probe landing
+  // in it would walk the whole run. Mixing every bit into the low ones
+  // (the 64-bit finalizer of MurmurHash3) spreads them out.
+  uint64_t h = hash;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return static_cast<size_t>(h) & mask_;
+}
+
+std::optional<ValueId> IdTable::Find(const Value& v, size_t hash,
+                                     size_t visible,
+                                     const ValueStore& store) const {
+  for (size_t i = Home(hash);; i = (i + 1) & mask_) {
+    ValueId id = slots_[i].load(std::memory_order_acquire);
+    if (id == kEmpty) return std::nullopt;
+    // An id at or past `visible` may still be being written: skip it
+    // without touching its value.
+    if (id < visible && store.at(id) == v) return id;
+  }
+}
+
+void IdTable::Insert(size_t hash, ValueId id) {
+  for (size_t i = Home(hash);; i = (i + 1) & mask_) {
+    if (slots_[i].load(std::memory_order_relaxed) == kEmpty) {
+      slots_[i].store(id, std::memory_order_release);
+      return;
+    }
+  }
+}
+
+}  // namespace dict_internal
+
+namespace {
+constexpr size_t kInitialTableCapacity = 64;
+}  // namespace
+
+ValueDictionary::ValueDictionary()
+    : store_(std::make_shared<dict_internal::ValueStore>()),
+      table_(std::make_shared<dict_internal::IdTable>(
+          kInitialTableCapacity)) {}
+
+ValueDictionary::ValueDictionary(
+    std::shared_ptr<dict_internal::ValueStore> store,
+    std::shared_ptr<dict_internal::IdTable> table, size_t size)
+    : store_(std::move(store)),
+      table_(std::move(table)),
+      size_(size),
+      frozen_(true) {}
+
 ValueId ValueDictionary::Intern(const Value& v) {
-  auto it = ids_.find(v);
-  if (it != ids_.end()) return it->second;
-  NF2_CHECK(values_.size() < kMaxValues) << "value dictionary full";
-  ValueId id = static_cast<ValueId>(values_.size());
+  NF2_CHECK(!frozen_) << "cannot intern into a frozen dictionary view";
+  const size_t hash = std::hash<Value>()(v);
+  if (std::optional<ValueId> found = table_->Find(v, hash, size_, *store_)) {
+    return *found;
+  }
+  NF2_CHECK(size_ < kMaxValues) << "value dictionary full";
+  ValueId id = static_cast<ValueId>(size_);
   if (!ranks_dirty_) {
-    if (values_.empty() || values_[max_value_id_] < v) {
+    if (size_ == 0 || value(max_value_id_) < v) {
       // Monotone intern: the new value takes the next rank directly.
       ranks_.push_back(id);
       max_value_id_ = id;
@@ -22,29 +105,46 @@ ValueId ValueDictionary::Intern(const Value& v) {
       ranks_dirty_ = true;
     }
   }
-  values_.push_back(v);
-  ids_.emplace(v, id);
+  if (2 * (size_ + 1) > table_->capacity()) {
+    // Grow into a fresh table; views taken earlier keep the old one,
+    // which already holds every id they can see.
+    auto grown = std::make_shared<dict_internal::IdTable>(
+        2 * table_->capacity());
+    for (ValueId old = 0; old < size_; ++old) {
+      grown->Insert(std::hash<Value>()(store_->at(old)), old);
+    }
+    table_ = std::move(grown);
+  }
+  // The value is stored before its id becomes findable.
+  store_->Append(id, v);
+  table_->Insert(hash, id);
+  ++size_;
   return id;
 }
 
 std::optional<ValueId> ValueDictionary::Find(const Value& v) const {
-  auto it = ids_.find(v);
-  if (it == ids_.end()) return std::nullopt;
-  return it->second;
+  return table_->Find(v, std::hash<Value>()(v), size_, *store_);
 }
 
 const Value& ValueDictionary::value(ValueId id) const {
-  NF2_CHECK(id < values_.size()) << "ValueId " << id << " out of range";
-  return values_[id];
+  NF2_CHECK(id < size_) << "ValueId " << id << " out of range";
+  return store_->at(id);
+}
+
+std::shared_ptr<const ValueDictionary> ValueDictionary::Freeze() const {
+  return std::shared_ptr<const ValueDictionary>(
+      new ValueDictionary(store_, table_, size_));
 }
 
 void ValueDictionary::EnsureRanks() const {
-  if (!ranks_dirty_ && ranks_.size() == values_.size()) return;
-  std::vector<ValueId> by_value(values_.size());
+  NF2_CHECK(!frozen_) << "a frozen dictionary view has no value order";
+  if (!ranks_dirty_ && ranks_.size() == size_) return;
+  std::vector<ValueId> by_value(size_);
   std::iota(by_value.begin(), by_value.end(), 0);
-  std::sort(by_value.begin(), by_value.end(),
-            [this](ValueId a, ValueId b) { return values_[a] < values_[b]; });
-  ranks_.resize(values_.size());
+  std::sort(by_value.begin(), by_value.end(), [this](ValueId a, ValueId b) {
+    return store_->at(a) < store_->at(b);
+  });
+  ranks_.resize(size_);
   for (uint32_t rank = 0; rank < by_value.size(); ++rank) {
     ranks_[by_value[rank]] = rank;
   }
@@ -53,7 +153,7 @@ void ValueDictionary::EnsureRanks() const {
 }
 
 uint32_t ValueDictionary::Rank(ValueId id) const {
-  NF2_CHECK(id < values_.size()) << "ValueId " << id << " out of range";
+  NF2_CHECK(id < size_) << "ValueId " << id << " out of range";
   EnsureRanks();
   return ranks_[id];
 }
@@ -67,7 +167,7 @@ int ValueDictionary::CompareIds(ValueId a, ValueId b) const {
 
 std::vector<ValueId> ValueDictionary::IdsInValueOrder() const {
   EnsureRanks();
-  std::vector<ValueId> out(values_.size());
+  std::vector<ValueId> out(size_);
   for (ValueId id = 0; id < out.size(); ++id) {
     out[ranks_[id]] = id;
   }

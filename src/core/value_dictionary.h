@@ -1,10 +1,13 @@
 #ifndef NF2_CORE_VALUE_DICTIONARY_H_
 #define NF2_CORE_VALUE_DICTIONARY_H_
 
+#include <array>
+#include <atomic>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/tuple.h"
@@ -18,9 +21,60 @@ namespace nf2 {
 /// dictionary — stored IdSets are never invalidated by later interns.
 using ValueId = uint32_t;
 
+namespace dict_internal {
+
+/// Append-only id -> value storage in power-of-two segments: segment s
+/// holds ids [2^s - 1, 2^(s+1) - 1). A stored value never moves, so a
+/// reader may read ids it knows to be published while the writer
+/// appends further ones.
+class ValueStore {
+ public:
+  const Value& at(ValueId id) const {
+    auto [segment, offset] = Locate(id);
+    return segments_[segment][offset];
+  }
+  /// Stores `v` under `id`, which must be the next unused id.
+  void Append(ValueId id, Value v);
+
+ private:
+  static std::pair<size_t, size_t> Locate(ValueId id);
+  std::array<std::unique_ptr<Value[]>, 32> segments_;
+};
+
+/// Insert-only open-addressing hash table of ids, probed by the hash of
+/// the id's value. The writer inserts with atomic slot stores; a reader
+/// that may see only ids below some bound skips the ids above it
+/// without reading their values. The writer replaces a full table with
+/// a larger one and leaves the old one untouched for the readers that
+/// still hold it.
+class IdTable {
+ public:
+  explicit IdTable(size_t capacity);
+  size_t capacity() const { return mask_ + 1; }
+  /// The id of `v` among ids < `visible`, probing from `hash`.
+  std::optional<ValueId> Find(const Value& v, size_t hash, size_t visible,
+                              const ValueStore& store) const;
+  /// Writer only: records `id` (not present yet) under `hash`.
+  void Insert(size_t hash, ValueId id);
+
+ private:
+  static constexpr ValueId kEmpty = std::numeric_limits<ValueId>::max();
+  // The slot probing for `hash` starts at.
+  size_t Home(size_t hash) const;
+
+  std::unique_ptr<std::atomic<ValueId>[]> slots_;
+  size_t mask_;
+};
+
+}  // namespace dict_internal
+
 /// Interns atomic Values into dense ValueIds so the NFR hot paths
 /// (candidate search, nest grouping, index postings) can run on integer
 /// tokens instead of re-comparing and re-hashing variant payloads.
+///
+/// Storage is append-only: values live in a ValueStore and are found
+/// through an IdTable, both shared with every frozen view taken by
+/// Freeze(), so a snapshot's dictionary costs no copy (DESIGN.md §2a).
 ///
 /// Order-preservation contract: raw ids carry NO order. The dictionary
 /// instead exposes a dense *rank* per id with
@@ -32,9 +86,13 @@ using ValueId = uint32_t;
 /// Rank()/CompareIds() call re-sorts once (O(n log n) amortized over
 /// the batch of new values). This re-encoding touches the rank table
 /// only — ids, and therefore every IdSet held by callers, survive it.
+/// Because Rank() may write the rank cache, only the dictionary's
+/// writer calls it; frozen views have no ranks.
 class ValueDictionary {
  public:
-  ValueDictionary() = default;
+  ValueDictionary();
+  ValueDictionary(const ValueDictionary&) = delete;
+  ValueDictionary& operator=(const ValueDictionary&) = delete;
 
   /// Returns the id of `v`, interning it first if unseen.
   ValueId Intern(const Value& v);
@@ -46,8 +104,17 @@ class ValueDictionary {
   const Value& value(ValueId id) const;
 
   /// Number of distinct values interned.
-  size_t size() const { return values_.size(); }
-  bool empty() const { return values_.empty(); }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+
+  /// A read-only view of the values interned so far: it shares this
+  /// dictionary's storage instead of copying it, so taking one costs
+  /// O(1), and it stays valid and unchanged while this dictionary goes
+  /// on interning — ids interned later are invisible to it. A view
+  /// resolves values to ids and back (Find, value, size) and has no
+  /// value order: Rank, CompareIds and IdsInValueOrder are fatal on it,
+  /// so concurrent readers never touch a lazy cache.
+  std::shared_ptr<const ValueDictionary> Freeze() const;
 
   /// Order-preserving dense rank of `id` (see class comment).
   uint32_t Rank(ValueId id) const;
@@ -58,22 +125,20 @@ class ValueDictionary {
   /// All ids in ascending value order (materializes ranks).
   std::vector<ValueId> IdsInValueOrder() const;
 
-  /// Forces the lazy rank table into its clean state now (idempotent,
-  /// O(1) when already clean). Concurrency contract: Rank/CompareIds
-  /// mutate the mutable rank cache when it is dirty, and interning is
-  /// what dirties it — so the engine's writers call this before
-  /// releasing the exclusive gate (engine/concurrency.h), leaving
-  /// shared readers a genuinely read-only dictionary.
-  void MaterializeRanks() const { EnsureRanks(); }
-
   static constexpr ValueId kMaxValues =
       std::numeric_limits<ValueId>::max() - 1;
 
  private:
+  // A frozen view over `store` and `table` covering ids below `size`.
+  ValueDictionary(std::shared_ptr<dict_internal::ValueStore> store,
+                  std::shared_ptr<dict_internal::IdTable> table, size_t size);
+
   void EnsureRanks() const;
 
-  std::vector<Value> values_;               // id -> value
-  std::unordered_map<Value, ValueId> ids_;  // value -> id
+  std::shared_ptr<dict_internal::ValueStore> store_;  // id -> value
+  std::shared_ptr<dict_internal::IdTable> table_;     // value -> id
+  size_t size_ = 0;
+  bool frozen_ = false;
 
   // Lazy rank table; valid only when !ranks_dirty_. max_value_id_ is
   // the id holding the greatest value (used to extend ranks in place on

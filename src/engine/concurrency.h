@@ -31,11 +31,12 @@ namespace nf2 {
 /// its writer preference: a waiting writer bars new shared entrants,
 /// bounding writer admission by the holders already in flight.
 ///
-/// Writer-side obligation: any lazily materialized, logically-const
-/// state a reader could observe must be forced before the new state is
-/// published. Database::PublishSnapshot() materializes the dictionary
-/// rank table and freezes the dictionary before the snapshot pointer
-/// swap, so snapshot readers see only genuinely immutable data.
+/// Writer-side obligation: nothing a published snapshot can reach may
+/// be written again. The writer honours it by copy-on-write — every
+/// CowVector node or Cow value it writes is cloned first when a
+/// published version still holds it — and by handing snapshots a
+/// frozen dictionary view, which covers only ids interned before the
+/// publish and has no lazy state (no ranks) for readers to fill in.
 class EngineGate {
  public:
   EngineGate() = default;

@@ -102,8 +102,7 @@ Status Database::LoadDictionary() {
 CanonicalRelation Database::MakeRelation(const Schema& schema,
                                          const Permutation& order) const {
   CanonicalRelation rel(schema, order,
-                        CanonicalRelation::SearchMode::kIndexed,
-                        CanonicalRelation::Encoding::kInterned, dict_);
+                        CanonicalRelation::SearchMode::kIndexed, dict_);
   // Mirror the relation's §4 counters into the engine-wide registry so
   // the database totals stay bit-identical to the per-relation sums.
   rel.set_metrics(UpdatePathMetrics::ForRegistry(&metrics_));
@@ -157,6 +156,8 @@ Result<std::unique_ptr<Database>> Database::Open(const std::string& dir,
       "nf2_relations", "Relations in the catalog");
   db->metric_snapshots_published_ = reg->GetCounter(
       "nf2_snapshot_published_total", "Snapshots published at commits");
+  db->metric_publish_ns_ = reg->GetHistogram(
+      "nf2_snapshot_publish_ns", "Wall time per snapshot publish (ns)");
   db->ckpt_metrics_ = CheckpointMetrics::ForRegistry(reg);
   db->snapshot_tracker_ = std::make_shared<SnapshotTracker>();
   db->snapshot_tracker_->BindGauges(
@@ -243,12 +244,14 @@ Status Database::Recover() {
           CanonicalRelation rebuilt,
           CanonicalRelation::FromFlat(
               stored.Expand(), info->nest_order,
-              CanonicalRelation::SearchMode::kIndexed,
-              CanonicalRelation::Encoding::kInterned, dict_));
+              CanonicalRelation::SearchMode::kIndexed, dict_));
       if (!rebuilt.relation().EqualsAsSet(stored)) {
         return Status::Corruption(
             StrCat("table for '", name, "' is not in canonical form"));
       }
+      // The rebuilt relation replaces the wired one, so it must count
+      // into the registry too.
+      rebuilt.set_metrics(UpdatePathMetrics::ForRegistry(&metrics_));
       rel = std::move(rebuilt);
     }
     relations_.emplace(name, std::move(rel));
@@ -344,29 +347,26 @@ Status Database::Recover() {
   // The recovered records were consumed above; a long-lived process
   // must not pin the whole pre-checkpoint log in RAM.
   wal_->ReleaseRecoveredRecords();
-  // Publishing here (which also materializes the dictionary rank table)
-  // makes the recovered state visible to snapshot readers before the
-  // database is served.
+  // Publishing here makes the recovered state visible to snapshot
+  // readers before the database is served.
   PublishSnapshot();
   recovered_ = true;
   return Status::OK();
 }
 
 void Database::PublishSnapshot() {
-  // Writer-side obligation (engine/concurrency.h): force every lazily
-  // materialized cache before the freeze, so the frozen copy — the
-  // only dictionary snapshot readers touch — is genuinely immutable.
-  dict_->MaterializeRanks();
-  if (frozen_dict_ == nullptr || frozen_dict_size_ != dict_->size()) {
-    frozen_dict_ = std::make_shared<const ValueDictionary>(*dict_);
-    frozen_dict_size_ = dict_->size();
-  }
+  // Declared before the span: when no reader pins it, the previous
+  // version is freed on return, after the timed section. That release
+  // walks only what this commit replaced (the written tuples and the
+  // CowVector paths to them), which is write cleanup, not publish.
   std::shared_ptr<const DatabaseSnapshot> prev =
       snapshot_.load(std::memory_order_relaxed);
+  TraceSpan span(nullptr, "publish", metric_publish_ns_);
   DatabaseSnapshot::VersionMap versions;
   for (const auto& [name, rel] : relations_) {
-    // COW at relation granularity: share the previous version unless
-    // this relation was mutated since the last publish.
+    // Share the previous version unless this relation was mutated since
+    // the last publish; a mutated one is copied in O(degree), sharing
+    // its storage with the live relation (DESIGN.md §9).
     if (prev != nullptr && dirty_relations_.count(name) == 0) {
       if (auto reuse = prev->FindVersion(name)) {
         versions.emplace(name, std::move(reuse));
@@ -386,8 +386,8 @@ void Database::PublishSnapshot() {
   WalPosition wal_pos = wal_ != nullptr ? wal_->position() : WalPosition{};
   snapshot_.store(std::make_shared<const DatabaseSnapshot>(
                       published_version_, catalog_epoch(),
-                      std::move(versions), frozen_dict_, snapshot_tracker_,
-                      wal_pos.epoch, wal_pos.lsn),
+                      std::move(versions), dict_->Freeze(),
+                      snapshot_tracker_, wal_pos.epoch, wal_pos.lsn),
                   std::memory_order_release);
   metric_snapshots_published_->Increment();
 }
@@ -438,7 +438,7 @@ Status Database::Rollback() {
       wal_->Append({0, WalOpType::kTxnAbort, "", ""}).status());
   // Publish the restored state: the aborted transaction's relations
   // are in dirty_relations_ (marked as its ops ran), so their
-  // pre-transaction content is re-cloned for readers.
+  // pre-transaction content is published anew.
   PublishSnapshot();
   return Status::OK();
 }

@@ -266,11 +266,12 @@ class Database {
   Status MaybeAutoCheckpoint();
 
   /// Publishes the current state as a new immutable DatabaseSnapshot
-  /// (DESIGN.md §9): materializes the dictionary rank table, freezes
-  /// the dictionary if it grew, clones every dirty relation (clean
-  /// ones share their version with the previous snapshot), then swaps
-  /// the snapshot pointer — the single commit point readers observe.
-  /// Called at every commit boundary; writer context only.
+  /// (DESIGN.md §9): takes a frozen view of the dictionary, copies
+  /// every dirty relation in O(degree) (clean ones share their version
+  /// with the previous snapshot), then swaps the snapshot pointer — the
+  /// single commit point readers observe. Costs O(dirty relations ×
+  /// degree), whatever their size. Called at every commit boundary;
+  /// writer context only; timed by nf2_snapshot_publish_ns.
   void PublishSnapshot();
 
   /// Declared first so it is destroyed last: the WAL, tables, and
@@ -312,6 +313,7 @@ class Database {
   Gauge* metric_dict_values_ = nullptr;
   Gauge* metric_relations_ = nullptr;
   Counter* metric_snapshots_published_ = nullptr;
+  Histogram* metric_publish_ns_ = nullptr;
   CheckpointMetrics ckpt_metrics_;
 
   // --- MVCC snapshot state (DESIGN.md §9). Written only by writer
@@ -320,11 +322,6 @@ class Database {
   std::atomic<std::shared_ptr<const DatabaseSnapshot>> snapshot_;
   /// Live-version bookkeeping behind nf2_snapshot_{pinned,oldest_age_ms}.
   std::shared_ptr<SnapshotTracker> snapshot_tracker_;
-  /// Frozen dictionary shared by snapshots; re-copied only when dict_
-  /// grew since the last freeze (ids are append-only, so an equal size
-  /// means an identical dictionary).
-  std::shared_ptr<const ValueDictionary> frozen_dict_;
-  size_t frozen_dict_size_ = 0;
   /// Relations mutated since the last publish — the ones the next
   /// publish must clone instead of share.
   std::set<std::string> dirty_relations_;

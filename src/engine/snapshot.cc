@@ -113,8 +113,8 @@ Result<FlatRelation> DatabaseSnapshot::Query(const std::string& name,
   NF2_ASSIGN_OR_RETURN(const RelationVersion* version, Find(name));
   const CanonicalRelation& rel = *version->relation;
   // Point-query fast path, id-space edition: resolve the literal
-  // against the frozen dictionary (a value the snapshot has never seen
-  // matches nothing), then walk the cloned index by ValueId. The live
+  // against the frozen dictionary view (a value interned after the
+  // publish matches nothing), then walk the shared index by ValueId. The live
   // dictionary is never consulted — it is being interned into by
   // concurrent writers.
   std::optional<std::pair<size_t, Value>> eq = pred.AsSingleEq();

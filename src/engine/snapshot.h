@@ -58,17 +58,19 @@ class SnapshotTracker {
 /// point — what read-only statements execute against (DESIGN.md §9).
 ///
 /// Structure: relation name → shared RelationVersion (catalog info +
-/// the canonical NFR as of the publish), plus the frozen dictionary
-/// those relations' interned ids resolve through. Publishing is
-/// copy-on-write at relation granularity: a relation untouched since
-/// the previous snapshot shares its RelationVersion pointer; a rebuilt
-/// one is cloned, and inside the clone every unmodified component set
-/// is shared, not deep-copied (ValueSet's COW rep).
+/// the canonical NFR as of the publish), plus a frozen view of the
+/// dictionary those relations' interned ids resolve through. Publishing
+/// is copy-on-write at two levels: a relation untouched since the
+/// previous snapshot shares its RelationVersion pointer; a mutated one
+/// is copied in O(degree), because its tuples, encoded mirror and index
+/// postings live in CowVectors whose nodes the copy shares — the writer
+/// clones a node only when it next writes one a published version
+/// still holds.
 ///
 /// Concurrency contract: everything reachable from a snapshot is
-/// immutable — the relations are clones the writer will never touch
-/// again, the dictionary is a frozen copy (so even its lazy rank table
-/// is private and pre-materialized), and point queries go through the
+/// immutable — a shared node is never written again (the writer clones
+/// it first), the dictionary view covers only ids interned before the
+/// publish and has no lazy state, and point queries go through the
 /// id-space index path (TuplesContainingId) rather than any live
 /// structure. Pinning is one atomic shared_ptr load; dropping the last
 /// pin frees the version. A snapshot must not outlive its Database
@@ -107,7 +109,8 @@ class DatabaseSnapshot {
   uint64_t wal_epoch() const { return wal_epoch_; }
   uint64_t wal_lsn() const { return wal_lsn_; }
 
-  /// The frozen dictionary (never null; may be empty).
+  /// The frozen dictionary view as of the publish (never null; may be
+  /// empty; see ValueDictionary::Freeze).
   const std::shared_ptr<const ValueDictionary>& dictionary() const {
     return dictionary_;
   }
@@ -127,7 +130,7 @@ class DatabaseSnapshot {
   Result<FlatRelation> Scan(const std::string& name) const;
 
   /// sigma_pred(R*) with the same point-query fast path as
-  /// Database::Query, resolved against the frozen dictionary.
+  /// Database::Query, resolved against the frozen dictionary view.
   Result<FlatRelation> Query(const std::string& name,
                              const Predicate& pred) const;
 

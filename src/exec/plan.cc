@@ -331,10 +331,9 @@ NfrRelation RangeCandidates(const CanonicalRelation& rel,
                             const ValueDictionary* frozen_dict,
                             const RangeRestriction& range) {
   NfrRelation matches(rel.schema());
-  if (frozen_dict != nullptr && rel.dictionary() != nullptr) {
-    // Snapshot read over an interned relation: the index's range scan
-    // would order ids via the live dictionary, so scan the frozen
-    // tuples instead.
+  if (frozen_dict != nullptr) {
+    // Snapshot read: the index's range scan would order ids via the
+    // live dictionary's ranks, so scan the frozen tuples instead.
     for (const NfrTuple& t : rel.relation().tuples()) {
       for (const Value& v : t.at(range.attr).values()) {
         if (range.bound.Admits(v)) {

@@ -19,6 +19,9 @@
 #include <thread>
 #include <vector>
 
+#include "algebra/predicate.h"
+#include "core/format.h"
+#include "core/nest.h"
 #include "engine/concurrency.h"
 #include "engine/database.h"
 #include "engine/snapshot.h"
@@ -310,6 +313,115 @@ TEST_F(ConcurrencyTest, PinnedSnapshotsMatchShadowOracleStates) {
   EXPECT_EQ(mismatches.load(), 0);
   EXPECT_GT(verified.load(), 0);
   ASSERT_TRUE((*db)->VerifyIntegrity().ok());
+}
+
+// Relation versions share storage with the live relation (CowVector
+// nodes, Cow tuples and postings) and snapshots see the live dictionary
+// through a frozen view. A pinned snapshot must come through every
+// kind of write unchanged: interns that dirty the live ranks (new INTs
+// sort before the STRINGs interned earlier), postings that grow across
+// CowVector leaf and level boundaries, DELETEs that split a tuple, and
+// a ROLLBACK — while a reader pins and reads the newest version.
+TEST_F(ConcurrencyTest, PinnedSnapshotSurvivesCopyOnWriteWrites) {
+  Database::Options options;
+  options.sync_wal = false;
+  auto db = Database::Open(dir_, options);
+  ASSERT_TRUE(db.ok());
+  const Schema schema({Attribute{"k", ValueType::kInt},
+                       Attribute{"a", ValueType::kString},
+                       Attribute{"b", ValueType::kInt}});
+  const Permutation order{0, 1, 2};
+  ASSERT_TRUE((*db)->CreateRelation("t", schema, order).ok());
+  std::set<FlatTuple> model;
+  auto row = [](int64_t k) {
+    return FlatTuple{Value::Int(k), Value::String(StrCat("a", (k & 7))),
+                     Value::Int((k >> 3) & 1)};
+  };
+  auto insert = [&](int64_t k) {
+    ASSERT_TRUE((*db)->Insert("t", row(k)).ok()) << k;
+    model.insert(row(k));
+  };
+  auto erase = [&](int64_t k) {
+    ASSERT_TRUE((*db)->Delete("t", row(k)).ok()) << k;
+    model.erase(row(k));
+  };
+  ASSERT_TRUE((*db)->Begin().ok());
+  for (int64_t k = 1000; k < 1200; ++k) insert(k);
+  ASSERT_TRUE((*db)->Commit().ok());
+
+  std::shared_ptr<const DatabaseSnapshot> pinned = (*db)->PinSnapshot();
+  auto show = [](const DatabaseSnapshot& snap) {
+    return RenderTable(**snap.Relation("t"), "t");
+  };
+  const std::string pinned_show = show(*pinned);
+  const std::string pinned_bytes = SerializeSnapshot(*pinned);
+  const size_t pinned_dict = pinned->dictionary()->size();
+  // Point lookups in id space: literal -> frozen id -> postings.
+  auto lookups = [](const DatabaseSnapshot& snap) {
+    std::string out;
+    const CanonicalRelation& rel = *snap.FindVersion("t")->relation;
+    for (int64_t k : {1000, 1013, 1100, 1199, -5}) {
+      std::optional<ValueId> id = snap.dictionary()->Find(Value::Int(k));
+      out += StrCat(k, "->", id.has_value() ? StrCat(*id) : "none", ":");
+      if (id.has_value()) {
+        out += rel.TuplesContainingId(0, *id).ToString();
+      }
+      out += RenderTable(*snap.Query("t", Predicate::Eq(0, Value::Int(k))));
+    }
+    return out;
+  };
+  const std::string pinned_lookups = lookups(*pinned);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> torn{0};
+  std::atomic<long> reads{0};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      std::shared_ptr<const DatabaseSnapshot> snap = (*db)->PinSnapshot();
+      const std::string first = SerializeSnapshot(*snap) + lookups(*snap);
+      if (first != SerializeSnapshot(*snap) + lookups(*snap)) ++torn;
+      if (SerializeSnapshot(*pinned) != pinned_bytes) ++torn;
+      ++reads;
+    }
+  });
+
+  const UpdateStats before = *(*db)->RelationUpdateStats("t");
+  // New INT keys below every earlier key, interned after the STRINGs:
+  // each one is out of rank order. 1,200 of them carry the key
+  // postings across many 32-slot leaves and a new tree level.
+  for (int64_t k = -1; k >= -1200; --k) insert(k);
+  // Deletes from the middle of nested key components split tuples.
+  for (int64_t k = 1001; k < 1200; k += 17) erase(k);
+  ASSERT_TRUE((*db)->Begin().ok());
+  for (int64_t k = 5000; k < 5040; ++k) {
+    ASSERT_TRUE((*db)->Insert("t", row(k)).ok());
+  }
+  ASSERT_TRUE((*db)->Delete("t", row(-7)).ok());
+  ASSERT_TRUE((*db)->Rollback().ok());
+  const UpdateStats delta = *(*db)->RelationUpdateStats("t") - before;
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_GT(delta.decompositions, 0u);
+  EXPECT_EQ(torn.load(), 0);
+  EXPECT_GT(reads.load(), 0);
+  EXPECT_EQ(show(*pinned), pinned_show);
+  EXPECT_EQ(SerializeSnapshot(*pinned), pinned_bytes);
+  EXPECT_EQ(lookups(*pinned), pinned_lookups);
+  EXPECT_EQ(pinned->dictionary()->size(), pinned_dict);
+  // Interned after the pin: invisible to the pinned view, found live.
+  EXPECT_FALSE(pinned->dictionary()->Find(Value::Int(-5)).has_value());
+  EXPECT_FALSE(pinned->dictionary()->Find(Value::Int(5001)).has_value());
+  EXPECT_TRUE((*db)->dictionary()->Find(Value::Int(-5)).has_value());
+
+  // The newest version is Theorem 2's unique canonical form of the
+  // rows the writes left.
+  std::shared_ptr<const DatabaseSnapshot> newest = (*db)->PinSnapshot();
+  NfrRelation oracle = CanonicalForm(
+      FlatRelation(schema, std::vector<FlatTuple>(model.begin(), model.end())),
+      order);
+  EXPECT_EQ(show(*newest), RenderTable(oracle, "t"));
+  EXPECT_TRUE((*db)->VerifyIntegrity().ok());
 }
 
 // Regression: while session A holds the open transaction, A's second

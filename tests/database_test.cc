@@ -120,6 +120,43 @@ TEST_F(DatabaseTest, DeleteMaintainsCanonicalForm) {
   EXPECT_TRUE((*rel)->EqualsAsSet(oracle));
 }
 
+// A relation read back from a checkpoint is rebuilt at Open; the
+// rebuilt relation must still mirror its §4 counters into the registry,
+// or a restarted server stops counting compositions and candidate scans.
+TEST_F(DatabaseTest, RestartedRelationKeepsCountingIntoRegistry) {
+  {
+    auto db = Database::Open(dir_);
+    ASSERT_TRUE(db.ok());
+    ASSERT_TRUE(CreateStudents(db->get()).ok());
+    ASSERT_TRUE((*db)->Insert("students", Scb("s1", "c1", "b1")).ok());
+    ASSERT_TRUE((*db)->Insert("students", Scb("s1", "c2", "b1")).ok());
+    ASSERT_TRUE((*db)->Checkpoint().ok());
+  }
+  auto db = Database::Open(dir_);
+  ASSERT_TRUE(db.ok()) << db.status();
+  const MetricsSnapshot before = (*db)->MetricsSnapshot();
+  Result<UpdateStats> stats_before = (*db)->RelationUpdateStats("students");
+  ASSERT_TRUE(stats_before.ok());
+  ASSERT_TRUE((*db)->Insert("students", Scb("s1", "c3", "b1")).ok());
+  ASSERT_TRUE((*db)->Insert("students", Scb("s2", "c1", "b1")).ok());
+  ASSERT_TRUE((*db)->Delete("students", Scb("s1", "c2", "b1")).ok());
+  const MetricsSnapshot after = (*db)->MetricsSnapshot();
+  Result<UpdateStats> stats_after = (*db)->RelationUpdateStats("students");
+  ASSERT_TRUE(stats_after.ok());
+  const UpdateStats delta = *stats_after - *stats_before;
+  EXPECT_GT(delta.compositions, 0u);
+  EXPECT_GT(delta.recons_calls, 0u);
+  auto moved = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  EXPECT_EQ(moved("nf2_compo_total"), delta.compositions);
+  EXPECT_EQ(moved("nf2_unnest_total"), delta.decompositions);
+  EXPECT_EQ(moved("nf2_recons_total"), delta.recons_calls);
+  EXPECT_EQ(moved("nf2_candt_scans_total"), delta.candidate_scans);
+  EXPECT_EQ(moved("nf2_candt_ns_total"), delta.find_candidate_ns);
+  EXPECT_EQ(moved("nf2_recons_ns_total"), delta.recons_ns);
+}
+
 TEST_F(DatabaseTest, DurableAcrossReopenViaWal) {
   {
     auto db = Database::Open(dir_);

@@ -6,6 +6,7 @@
 #include "core/index.h"
 #include "core/update.h"
 #include "tests/test_util.h"
+#include "util/string_util.h"
 
 namespace nf2 {
 namespace {
@@ -18,60 +19,99 @@ NfrTuple T(std::initializer_list<const char*> a,
   return NfrTuple{ValueSet(std::move(av)), ValueSet(std::move(bv))};
 }
 
+// An id-keyed index over a fresh dictionary, plus the helper that
+// encodes (interning) the tuples the tests add.
+struct IndexFixture {
+  std::shared_ptr<ValueDictionary> dict = std::make_shared<ValueDictionary>();
+  NfrIndex index{2, dict};
+  EncodedTuple Enc(const NfrTuple& t) { return InternTuple(dict.get(), t); }
+  IdSet Ids(const ValueSet& s) { return InternValueSet(dict.get(), s); }
+};
+
 TEST(NfrIndexTest, AddAndPostings) {
-  NfrIndex index(2);
-  index.AddTuple(0, T({"a1", "a2"}, {"b1"}));
-  index.AddTuple(1, T({"a2"}, {"b2"}));
-  const std::vector<size_t>* a2 = index.Postings(0, V("a2"));
+  IndexFixture f;
+  f.index.AddEncoded(0, f.Enc(T({"a1", "a2"}, {"b1"})));
+  f.index.AddEncoded(1, f.Enc(T({"a2"}, {"b2"})));
+  const std::vector<size_t>* a2 = f.index.Postings(0, V("a2"));
   ASSERT_NE(a2, nullptr);
   EXPECT_EQ(*a2, (std::vector<size_t>{0, 1}));
-  const std::vector<size_t>* b1 = index.Postings(1, V("b1"));
+  const std::vector<size_t>* b1 = f.index.Postings(1, V("b1"));
   ASSERT_NE(b1, nullptr);
   EXPECT_EQ(*b1, (std::vector<size_t>{0}));
-  EXPECT_EQ(index.Postings(0, V("zz")), nullptr);
-  EXPECT_EQ(index.entry_count(), 5u);
+  EXPECT_EQ(f.index.PostingsById(1, *f.dict->Find(V("b1"))), b1);
+  EXPECT_EQ(f.index.Postings(0, V("zz")), nullptr);
+  // A value indexed under one attribute is absent under the other.
+  EXPECT_EQ(f.index.Postings(1, V("a2")), nullptr);
+  EXPECT_EQ(f.index.entry_count(), 5u);
 }
 
 TEST(NfrIndexTest, RemoveCleansUp) {
-  NfrIndex index(2);
-  NfrTuple t = T({"a1", "a2"}, {"b1"});
-  index.AddTuple(0, t);
-  index.RemoveTuple(0, t);
-  EXPECT_EQ(index.Postings(0, V("a1")), nullptr);
-  EXPECT_EQ(index.entry_count(), 0u);
+  IndexFixture f;
+  EncodedTuple t = f.Enc(T({"a1", "a2"}, {"b1"}));
+  f.index.AddEncoded(0, t);
+  f.index.RemoveEncoded(0, t);
+  EXPECT_EQ(f.index.Postings(0, V("a1")), nullptr);
+  EXPECT_EQ(f.index.entry_count(), 0u);
 }
 
 TEST(NfrIndexTest, MoveRelabelsIds) {
-  NfrIndex index(2);
-  NfrTuple t = T({"a1"}, {"b1"});
-  index.AddTuple(5, t);
-  index.MoveTuple(5, 2, t);
-  const std::vector<size_t>* a1 = index.Postings(0, V("a1"));
+  IndexFixture f;
+  EncodedTuple t = f.Enc(T({"a1"}, {"b1"}));
+  f.index.AddEncoded(5, t);
+  f.index.MoveEncoded(5, 2, t);
+  const std::vector<size_t>* a1 = f.index.Postings(0, V("a1"));
   ASSERT_NE(a1, nullptr);
   EXPECT_EQ(*a1, (std::vector<size_t>{2}));
 }
 
-TEST(NfrIndexTest, ContainingAll) {
-  NfrIndex index(2);
-  index.AddTuple(0, T({"a1", "a2"}, {"b1"}));
-  index.AddTuple(1, T({"a1", "a3"}, {"b1", "b2"}));
-  index.AddTuple(2, T({"a2", "a3"}, {"b2"}));
-  EXPECT_EQ(index.ContainingAll(0, ValueSet{V("a1"), V("a2")}),
+TEST(NfrIndexTest, ContainingAllIds) {
+  IndexFixture f;
+  f.index.AddEncoded(0, f.Enc(T({"a1", "a2"}, {"b1"})));
+  f.index.AddEncoded(1, f.Enc(T({"a1", "a3"}, {"b1", "b2"})));
+  f.index.AddEncoded(2, f.Enc(T({"a2", "a3"}, {"b2"})));
+  EXPECT_EQ(f.index.ContainingAllIds(0, f.Ids(ValueSet{V("a1"), V("a2")})),
             (std::vector<size_t>{0}));
-  EXPECT_EQ(index.ContainingAll(0, ValueSet{V("a3")}),
+  EXPECT_EQ(f.index.ContainingAllIds(0, f.Ids(ValueSet{V("a3")})),
             (std::vector<size_t>{1, 2}));
-  EXPECT_TRUE(index.ContainingAll(0, ValueSet{V("a1"), V("zz")}).empty());
+  EXPECT_TRUE(
+      f.index.ContainingAllIds(0, f.Ids(ValueSet{V("a1"), V("zz")})).empty());
 }
 
-TEST(NfrIndexTest, ContainingTuple) {
-  NfrIndex index(2);
-  index.AddTuple(0, T({"a1", "a2"}, {"b1"}));
-  index.AddTuple(1, T({"a3"}, {"b1", "b2"}));
-  EXPECT_EQ(index.ContainingTuple(T({"a2"}, {"b1"})),
+TEST(NfrIndexTest, ContainingEncoded) {
+  IndexFixture f;
+  f.index.AddEncoded(0, f.Enc(T({"a1", "a2"}, {"b1"})));
+  f.index.AddEncoded(1, f.Enc(T({"a3"}, {"b1", "b2"})));
+  EXPECT_EQ(f.index.ContainingEncoded(f.Enc(T({"a2"}, {"b1"}))),
             (std::vector<size_t>{0}));
-  EXPECT_EQ(index.ContainingTuple(T({"a3"}, {"b2"})),
+  EXPECT_EQ(f.index.ContainingEncoded(f.Enc(T({"a3"}, {"b2"}))),
             (std::vector<size_t>{1}));
-  EXPECT_TRUE(index.ContainingTuple(T({"a2"}, {"b2"})).empty());
+  EXPECT_TRUE(f.index.ContainingEncoded(f.Enc(T({"a2"}, {"b2"}))).empty());
+}
+
+// A copy of the index shares its postings; writes to either side after
+// the copy must never show through the other (what a published
+// snapshot relies on).
+TEST(NfrIndexTest, CopiesAreIsolatedFromLaterWrites) {
+  IndexFixture f;
+  std::vector<EncodedTuple> tuples;
+  // Enough distinct values that the slots span several CowVector leaves.
+  for (int i = 0; i < 100; ++i) {
+    tuples.push_back(f.Enc(T({StrCat("a", i).c_str()}, {"b"})));
+    f.index.AddEncoded(i, tuples.back());
+  }
+  NfrIndex pinned = f.index;
+  f.index.RemoveEncoded(7, tuples[7]);
+  f.index.AddEncoded(100, f.Enc(T({"a7", "new"}, {"b"})));
+  f.index.MoveEncoded(99, 3, tuples[99]);
+  EXPECT_EQ(*pinned.Postings(0, V("a7")), (std::vector<size_t>{7}));
+  EXPECT_EQ(*pinned.Postings(0, V("a99")), (std::vector<size_t>{99}));
+  EXPECT_EQ(pinned.Postings(0, V("new")), nullptr);
+  EXPECT_EQ(pinned.Postings(1, V("b"))->size(), 100u);
+  EXPECT_EQ(*f.index.Postings(0, V("a7")), (std::vector<size_t>{100}));
+  EXPECT_EQ(*f.index.Postings(0, V("a99")), (std::vector<size_t>{3}));
+  EXPECT_EQ(f.index.Postings(1, V("b"))->size(), 100u);
+  EXPECT_EQ(pinned.entry_count(), 200u);
+  EXPECT_EQ(f.index.entry_count(), 201u);
 }
 
 // Regression: RemoveEncoded used to leave emptied posting slots

@@ -5,12 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/update.h"
+#include "engine/database.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
@@ -281,6 +283,55 @@ TEST(UpdateMirrorTest, RegistryCountersMatchUpdateStatsExactly) {
   EXPECT_EQ(snap.counter("nf2_candt_scans_total"), stats.candidate_scans);
   EXPECT_EQ(snap.counter("nf2_candt_ns_total"), stats.find_candidate_ns);
   EXPECT_EQ(snap.counter("nf2_recons_ns_total"), stats.recons_ns);
+}
+
+// nf2_snapshot_publish_ns times Database::PublishSnapshot: exactly one
+// observation per commit boundary (autocommit write, COMMIT, ROLLBACK),
+// none per write inside a transaction.
+TEST(PublishHistogramTest, OneObservationPerCommitBoundary) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "nf2_obs_publish_test")
+          .string();
+  std::filesystem::remove_all(dir);
+  {
+    Database::Options options;
+    options.sync_wal = false;
+    auto db = Database::Open(dir, options);
+    ASSERT_TRUE(db.ok()) << db.status();
+    ASSERT_TRUE((*db)->CreateRelation("r", Schema::OfStrings({"A", "B"}),
+                                      {0, 1})
+                    .ok());
+    auto publishes = [&] {
+      const MetricsSnapshot snap = (*db)->MetricsSnapshot();
+      const MetricsSnapshot::HistogramValue* h =
+          snap.histogram("nf2_snapshot_publish_ns");
+      return h == nullptr ? uint64_t{0} : h->count;
+    };
+    const uint64_t start = publishes();
+    EXPECT_GE(start, 1u);  // Recovery and CREATE each published.
+    ASSERT_TRUE((*db)->Insert("r", FlatTuple{V("a1"), V("b1")}).ok());
+    ASSERT_TRUE((*db)->Insert("r", FlatTuple{V("a2"), V("b1")}).ok());
+    ASSERT_TRUE((*db)->Delete("r", FlatTuple{V("a1"), V("b1")}).ok());
+    EXPECT_EQ(publishes(), start + 3);
+
+    ASSERT_TRUE((*db)->Begin().ok());
+    ASSERT_TRUE((*db)->Insert("r", FlatTuple{V("a3"), V("b2")}).ok());
+    ASSERT_TRUE((*db)->Insert("r", FlatTuple{V("a4"), V("b2")}).ok());
+    EXPECT_EQ(publishes(), start + 3);
+    ASSERT_TRUE((*db)->Commit().ok());
+    EXPECT_EQ(publishes(), start + 4);
+
+    ASSERT_TRUE((*db)->Begin().ok());
+    ASSERT_TRUE((*db)->Insert("r", FlatTuple{V("a5"), V("b3")}).ok());
+    EXPECT_EQ(publishes(), start + 4);
+    ASSERT_TRUE((*db)->Rollback().ok());
+    EXPECT_EQ(publishes(), start + 5);
+
+    // The shell's and the server's `\metrics prom` render this text.
+    const std::string prom = (*db)->MetricsText(/*prometheus=*/true);
+    EXPECT_NE(prom.find("nf2_snapshot_publish_ns"), std::string::npos);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -67,12 +67,25 @@ have skipped more pages than they wrote. Both checks are self-relative
 is therefore excluded from the cross-run throughput comparison, whose
 millisecond-scale absolute latencies are not comparable across hosts.
 
+An autocommit_ingest section is gated by --publish-flat: the median
+single snapshot publish time (nf2_snapshot_publish_ns) at the largest
+relation size must stay within 2x of the median at the smallest size,
+over a 100x spread. A median of 256 publishes is not moved by a few
+descheduled ones, as a mean would be. The section's insert p50/p99 are
+reported alongside but not bounded: each insert composes one value into
+a component of rows/64 values, and that set union grows with the size.
+Like the checkpoint gate it is self-relative, so the section is left out
+of the cross-run throughput comparison.
+
 Exit code 0 = OK, 1 = regression (or broken counters), 2 = usage error.
 """
 
 import argparse
 import json
 import sys
+
+# --publish-flat bound: largest-size over smallest-size publish p50.
+PUBLISH_FLAT_RATIO = 2.0
 
 
 def load_sections(path):
@@ -142,6 +155,12 @@ def main():
         default=None,
         help="maximum large/small incremental checkpoint latency ratio "
         "(default: half the run's size_ratio)",
+    )
+    parser.add_argument(
+        "--publish-flat",
+        action="store_true",
+        help="enforce the autocommit_ingest publish flatness gate "
+        "(without it the section is only reported)",
     )
     args = parser.parse_args()
 
@@ -306,6 +325,33 @@ def main():
                 print(f"  info {name}: {detail} — gate off")
             # Self-relative gates only; absolute ms-scale latencies are
             # not comparable across hosts, so skip the throughput diff.
+            continue
+        if name == "autocommit_ingest":
+            rows = new.get("rows", [])
+            publish = [float(x) for x in new.get("publish_ns", [])]
+            p50 = [float(x) for x in new.get("p50_us", [])]
+            ratio = (
+                publish[-1] / publish[0]
+                if len(publish) >= 2 and publish[0] > 0
+                else 0.0
+            )
+            flat = 0 < ratio <= PUBLISH_FLAT_RATIO
+            detail = (
+                f"publish p50 {publish[0]:.0f}ns at {rows[0]} rows vs "
+                f"{publish[-1]:.0f}ns at {rows[-1]} rows (x{ratio:.2f}, "
+                f"bound x{PUBLISH_FLAT_RATIO:.2f}); insert p50 "
+                f"{p50[0]:.1f}us vs {p50[-1]:.1f}us "
+                f"(x{p50[-1] / p50[0]:.2f}, not gated)"
+                if ratio > 0 and p50 and p50[0] > 0
+                else "publish or insert timings missing"
+            )
+            if args.publish_flat and not flat:
+                print(f"  FAIL {name}: publish not flat — {detail}")
+                failed = True
+            elif args.publish_flat:
+                print(f"  ok   {name}: {detail}")
+            else:
+                print(f"  info {name}: {detail} — gate off")
             continue
         base = base_sections.get(name)
         if base is None:
