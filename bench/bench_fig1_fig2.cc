@@ -60,7 +60,8 @@ void Run() {
   CanonicalRelation r1 = *CanonicalRelation::FromFlat(r1_flat, p1);
   CanonicalRelation r2 = *CanonicalRelation::FromFlat(r2_flat, p2);
 
-  std::printf("\nFig. 1 (paper): R1 = {[s1,s3|c1,c2,c3|b1], [s2|c1,c2,c3|b2]}\n");
+  std::printf(
+      "\nFig. 1 (paper): R1 = {[s1,s3|c1,c2,c3|b1], [s2|c1,c2,c3|b2]}\n");
   std::printf("Fig. 1 (ours):\n%s",
               RenderTable(r1.relation(), "R1").c_str());
   std::printf(

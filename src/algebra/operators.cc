@@ -209,7 +209,9 @@ Result<std::vector<GroupCount>> GroupedDistinctCounts(
   group_ids.reserve(per_group.size());
   for (const auto& [g, counted] : per_group) group_ids.push_back(g);
   std::sort(group_ids.begin(), group_ids.end(),
-            [&dict](ValueId a, ValueId b) { return dict.CompareIds(a, b) < 0; });
+            [&dict](ValueId a, ValueId b) {
+              return dict.CompareIds(a, b) < 0;
+            });
   std::vector<GroupCount> out;
   out.reserve(group_ids.size());
   for (ValueId g : group_ids) {

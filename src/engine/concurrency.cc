@@ -6,34 +6,9 @@
 
 namespace nf2 {
 
-void EngineGate::AcquireShared() {
-  std::unique_lock<std::mutex> lock(mu_);
-  // Writer preference: a waiting writer bars new readers, so a steady
-  // read stream cannot starve writes.
-  reader_cv_.wait(lock,
-                  [this] { return !writer_active_ && waiting_writers_ == 0; });
-  ++active_readers_;
-  if (metrics_.shared_acquires != nullptr) {
-    metrics_.shared_acquires->Increment();
-  }
-}
-
-void EngineGate::ReleaseShared() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (--active_readers_ == 0 && waiting_writers_ > 0) {
-    lock.unlock();
-    writer_cv_.notify_one();
-  }
-}
-
-void EngineGate::AcquireExclusive() {
+EngineGate::ExclusiveLock EngineGate::LockExclusive() {
   const auto start = std::chrono::steady_clock::now();
-  std::unique_lock<std::mutex> lock(mu_);
-  ++waiting_writers_;
-  writer_cv_.wait(lock,
-                  [this] { return !writer_active_ && active_readers_ == 0; });
-  --waiting_writers_;
-  writer_active_ = true;
+  ExclusiveLock lock(mu_);
   if (metrics_.write_acquires != nullptr) {
     metrics_.write_acquires->Increment();
   }
@@ -43,18 +18,7 @@ void EngineGate::AcquireExclusive() {
             std::chrono::steady_clock::now() - start)
             .count()));
   }
-}
-
-void EngineGate::ReleaseExclusive() {
-  std::unique_lock<std::mutex> lock(mu_);
-  writer_active_ = false;
-  const bool writers_waiting = waiting_writers_ > 0;
-  lock.unlock();
-  if (writers_waiting) {
-    writer_cv_.notify_one();
-  } else {
-    reader_cv_.notify_all();
-  }
+  return lock;
 }
 
 bool IsReadOnlyStatement(const Statement& stmt) {

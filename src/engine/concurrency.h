@@ -1,7 +1,6 @@
 #ifndef NF2_ENGINE_CONCURRENCY_H_
 #define NF2_ENGINE_CONCURRENCY_H_
 
-#include <condition_variable>
 #include <cstdint>
 #include <mutex>
 
@@ -10,26 +9,22 @@
 
 namespace nf2 {
 
-/// Reader/writer gate over one Database — the writer-serialization
-/// layer the server (src/server/) drives, usable on its own by any
-/// embedder.
+/// The writer gate over one Database — the writer-serialization layer
+/// the server (src/server/) drives, usable on its own by any embedder.
+/// It is one mutex plus acquisition/wait instrumentation.
 ///
 /// Locking discipline (DESIGN.md §8/§9): every mutating statement —
 /// including BEGIN/COMMIT/ROLLBACK and CHECKPOINT — serializes under
-/// the exclusive lock for the duration of that one statement. Theorem
-/// A-4 is what makes the single writer lock viable: the §4 composition
-/// count per insert/delete is bounded by a function of the degree
-/// alone, independent of |R|, so writer critical sections stay short
-/// no matter how large the relation grows.
+/// the gate for the duration of that one statement, and so do the
+/// server's session abort and shutdown checkpoint. Theorem A-4 is what
+/// makes the single writer lock viable: the §4 composition count per
+/// insert/delete is bounded by a function of the degree alone,
+/// independent of |R|, so writer critical sections stay short no
+/// matter how large the relation grows.
 ///
 /// Statements classified read-only by IsReadOnlyStatement do NOT come
-/// here at all since the MVCC snapshot read path landed: they pin an
-/// immutable DatabaseSnapshot (engine/snapshot.h) and execute with
-/// zero gate traffic. The shared mode is retained for embedders that
-/// want to freeze the live engine state briefly (the server's shutdown
-/// sequence peeks at open transactions this way), so the gate keeps
-/// its writer preference: a waiting writer bars new shared entrants,
-/// bounding writer admission by the holders already in flight.
+/// here at all: they pin an immutable DatabaseSnapshot
+/// (engine/snapshot.h) and execute with zero gate traffic.
 ///
 /// Writer-side obligation: nothing a published snapshot can reach may
 /// be written again. The writer honours it by copy-on-write — every
@@ -39,57 +34,16 @@ namespace nf2 {
 /// publish and has no lazy state (no ranks) for readers to fill in.
 class EngineGate {
  public:
+  /// RAII guard for the writer; unlocks on destruction.
+  using ExclusiveLock = std::unique_lock<std::mutex>;
+
   EngineGate() = default;
   EngineGate(const EngineGate&) = delete;
   EngineGate& operator=(const EngineGate&) = delete;
 
-  /// RAII guard for one reader; unlocks on destruction.
-  class SharedLock {
-   public:
-    explicit SharedLock(EngineGate* gate) : gate_(gate) {
-      gate_->AcquireShared();
-    }
-    ~SharedLock() {
-      if (gate_ != nullptr) gate_->ReleaseShared();
-    }
-    SharedLock(SharedLock&& other) noexcept : gate_(other.gate_) {
-      other.gate_ = nullptr;
-    }
-    SharedLock(const SharedLock&) = delete;
-    SharedLock& operator=(const SharedLock&) = delete;
-    SharedLock& operator=(SharedLock&&) = delete;
-
-   private:
-    EngineGate* gate_;
-  };
-
-  /// RAII guard for the writer; unlocks on destruction.
-  class ExclusiveLock {
-   public:
-    explicit ExclusiveLock(EngineGate* gate) : gate_(gate) {
-      gate_->AcquireExclusive();
-    }
-    ~ExclusiveLock() {
-      if (gate_ != nullptr) gate_->ReleaseExclusive();
-    }
-    ExclusiveLock(ExclusiveLock&& other) noexcept : gate_(other.gate_) {
-      other.gate_ = nullptr;
-    }
-    ExclusiveLock(const ExclusiveLock&) = delete;
-    ExclusiveLock& operator=(const ExclusiveLock&) = delete;
-    ExclusiveLock& operator=(ExclusiveLock&&) = delete;
-
-   private:
-    EngineGate* gate_;
-  };
-
-  /// Shared (reader) lock — held for the duration of one read-only
-  /// statement.
-  SharedLock LockShared() { return SharedLock(this); }
-
   /// Exclusive (writer) lock — held for the duration of one mutating
   /// statement.
-  ExclusiveLock LockExclusive() { return ExclusiveLock(this); }
+  ExclusiveLock LockExclusive();
 
   /// Mirrors acquisitions (and writer wait time) into the given metric
   /// handles. Call before the gate sees traffic; an all-null set (the
@@ -97,27 +51,17 @@ class EngineGate {
   void set_metrics(const GateMetrics& metrics) { metrics_ = metrics; }
 
  private:
-  void AcquireShared();
-  void ReleaseShared();
-  void AcquireExclusive();
-  void ReleaseExclusive();
-
   std::mutex mu_;
-  std::condition_variable reader_cv_;
-  std::condition_variable writer_cv_;
-  // All guarded by mu_.
-  uint64_t active_readers_ = 0;
-  uint64_t waiting_writers_ = 0;
-  bool writer_active_ = false;
   GateMetrics metrics_;  // Handles are themselves thread-safe.
 };
 
 /// True when executing `stmt` cannot mutate engine state, so it may run
-/// under a shared lock: SELECT, SHOW, DESCRIBE, NEST/UNNEST views,
-/// LIST, STATS, and EXPLAIN of anything (EXPLAIN never executes).
+/// against a pinned snapshot without the gate: SELECT, SHOW, DESCRIBE,
+/// NEST/UNNEST views, LIST, STATS, and EXPLAIN of anything (EXPLAIN
+/// never executes).
 /// PROFILE executes its inner statement and classifies as that
 /// statement does. Everything else — INSERT/DELETE/UPDATE, DDL,
-/// CHECKPOINT, BEGIN/COMMIT/ROLLBACK — requires the exclusive lock.
+/// CHECKPOINT, BEGIN/COMMIT/ROLLBACK — requires the gate.
 bool IsReadOnlyStatement(const Statement& stmt);
 
 }  // namespace nf2

@@ -7,6 +7,7 @@
 #include "algebra/operators.h"
 #include "dependency/design.h"
 #include "obs/trace.h"
+#include "storage/table.h"
 #include "util/logging.h"
 #include "util/string_util.h"
 
@@ -217,26 +218,19 @@ Status Database::Recover() {
       // fall back to a flat read when the file's identity stamp says it
       // was wholesale-replaced after the manifest was written (a
       // post-manifest CREATE/DROP — the flat file is then authoritative).
-      NfrRelation stored(info->schema);
-      bool mapped = false;
+      const TableManifest* entry = nullptr;
       auto mit = manifest_.tables.find(info->table_file);
       if (mit != manifest_.tables.end() && !mit->second.pages.empty()) {
         uint64_t on_disk = ProbeTableFileId(env_, TablePath(*info));
         if (on_disk != 0 && on_disk == mit->second.file_id) {
-          NF2_ASSIGN_OR_RETURN(
-              MappedTable mt,
-              ReadTableMapped(env_, TablePath(*info), mit->second));
-          stored = std::move(mt.relation);
-          mapped = true;
+          entry = &mit->second;
         }
       }
-      if (!mapped) {
-        NF2_ASSIGN_OR_RETURN(
-            auto table,
-            Table::Open(env_, TablePath(*info), /*pool_pages=*/64,
-                        BufferPoolMetrics::ForRegistry(&metrics_)));
-        NF2_ASSIGN_OR_RETURN(stored, table->ReadAll());
-      }
+      NF2_ASSIGN_OR_RETURN(
+          StoredTable table,
+          entry != nullptr ? ReadTableMapped(env_, TablePath(*info), *entry)
+                           : ReadTableFlat(env_, TablePath(*info)));
+      const NfrRelation& stored = table.relation;
       // Trust but verify: the stored form must be the canonical form of
       // its own expansion (cheap for the usual sizes; guards against
       // partial writes).
@@ -491,12 +485,15 @@ Status Database::CreateRelation(const std::string& name, Schema schema,
       wal_->Append({0, WalOpType::kCreateRelation, name, payload.data()})
           .status());
   relations_.emplace(name, MakeRelation(info.schema, info.nest_order));
-  // Publish the (empty) table file atomically, then the catalog.
-  NF2_RETURN_IF_ERROR(WriteTableAtomic(env_, TablePath(info), info.schema,
-                                       info.nest_order,
-                                       NfrRelation(info.schema),
-                                       BufferPoolMetrics::ForRegistry(
-                                           &metrics_)));
+  // Publish the (empty) table file atomically, then the catalog. The
+  // file's mapping stays out of manifest_ until a checkpoint makes it
+  // durable: a non-durable entry would let the next checkpoint
+  // shadow-write into a file no durable manifest protects.
+  NF2_ASSIGN_OR_RETURN(
+      std::vector<Page> pages,
+      SerializeTablePages(info.schema, info.nest_order, NewTableFileId(),
+                          NfrRelation(info.schema)));
+  NF2_RETURN_IF_ERROR(ReplaceTableFile(env_, TablePath(info), pages));
   NF2_RETURN_IF_ERROR(catalog_.Add(std::move(info)));
   // The next checkpoint must build a manifest entry for the new file
   // (adopt-identity over the fresh flat file: a cheap read-only pass).
@@ -793,10 +790,11 @@ Status Database::Checkpoint() {
   manifest_ = std::move(next);
   ckpt_dirty_.clear();
   ops_since_checkpoint_ = 0;
-  last_checkpoint_ns_.store(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                std::chrono::steady_clock::now().time_since_epoch())
-                                .count(),
-                            std::memory_order_relaxed);
+  last_checkpoint_ns_.store(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count(),
+      std::memory_order_relaxed);
   metric_checkpoints_->Increment();
   if (ckpt_metrics_.pages_written != nullptr && total.pages_written > 0) {
     ckpt_metrics_.pages_written->Increment(total.pages_written);

@@ -18,7 +18,6 @@
 #include "engine/statistics.h"
 #include "obs/metrics.h"
 #include "storage/checkpoint.h"
-#include "storage/table.h"
 #include "storage/wal.h"
 #include "util/result.h"
 
@@ -220,7 +219,7 @@ class Database {
     return catalog_epoch_.load(std::memory_order_acquire);
   }
 
-  /// The engine-wide metrics registry — WAL, buffer pools, checkpoint /
+  /// The engine-wide metrics registry — WAL, checkpoint /
   /// recovery timings, and §4 algebra counters all land here. Valid for
   /// the lifetime of the Database.
   MetricsRegistry* metrics() { return &metrics_; }

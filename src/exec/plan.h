@@ -319,9 +319,9 @@ class NfrSourceOp : public PlanOp {
 
 /// Factorized aggregation straight over the NFR (DESIGN.md §10): since
 /// expansions of distinct tuples are pairwise disjoint, COUNT(*) is
-/// Σ_t Π_j |D_j,t| and SUM(b) is Σ_t (Σ_{v∈D_b,t} v)·Π_{j≠b} |D_j,t| —
-/// no simple tuple is ever materialized. Child 0 must be an
-/// NfrSourceOp.
+/// Σ_t Π_j |D_j,t| and SUM(b) is
+/// Σ_t (Σ_{v∈D_b,t} v)·Π_{j≠b} |D_j,t| — no simple tuple is ever
+/// materialized. Child 0 must be an NfrSourceOp.
 class FactorizedAggregateOp : public PlanOp {
  public:
   FactorizedAggregateOp(std::string label, std::unique_ptr<NfrSourceOp> source,

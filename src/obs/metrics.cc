@@ -212,20 +212,6 @@ std::string MetricsRegistry::ToPrometheusText() const {
   return out;
 }
 
-BufferPoolMetrics BufferPoolMetrics::ForRegistry(MetricsRegistry* registry) {
-  BufferPoolMetrics out;
-  if (registry == nullptr) return out;
-  out.hits = registry->GetCounter("nf2_pool_hits_total",
-                                  "buffer pool page hits");
-  out.misses = registry->GetCounter("nf2_pool_misses_total",
-                                    "buffer pool page misses (disk reads)");
-  out.evictions = registry->GetCounter("nf2_pool_evictions_total",
-                                       "buffer pool frame evictions");
-  out.writebacks = registry->GetCounter(
-      "nf2_pool_writebacks_total", "dirty pages written back to disk");
-  return out;
-}
-
 CheckpointMetrics CheckpointMetrics::ForRegistry(MetricsRegistry* registry) {
   CheckpointMetrics out;
   if (registry == nullptr) return out;
@@ -266,15 +252,12 @@ StatementCacheMetrics StatementCacheMetrics::ForRegistry(
 GateMetrics GateMetrics::ForRegistry(MetricsRegistry* registry) {
   GateMetrics out;
   if (registry == nullptr) return out;
-  out.shared_acquires = registry->GetCounter(
-      "nf2_gate_shared_acquires_total",
-      "shared (reader) acquisitions of the engine gate");
   out.write_acquires = registry->GetCounter(
       "nf2_gate_write_acquires_total",
-      "exclusive (writer) acquisitions of the engine gate");
+      "writer acquisitions of the engine gate");
   out.write_wait_ns = registry->GetHistogram(
       "nf2_gate_write_wait_ns",
-      "time a writer waited to acquire the exclusive gate (ns)");
+      "time a writer waited to acquire the engine gate (ns)");
   return out;
 }
 

@@ -163,19 +163,6 @@ class MetricsRegistry {
   std::map<std::string, HistogramEntry> histograms_;
 };
 
-/// Pre-resolved counter handles for a BufferPool. Any pointer may be
-/// null (that metric is simply not recorded) — a default-constructed
-/// struct is a no-op set, so un-instrumented pools cost nothing.
-struct BufferPoolMetrics {
-  Counter* hits = nullptr;
-  Counter* misses = nullptr;
-  Counter* evictions = nullptr;
-  Counter* writebacks = nullptr;
-
-  /// Handles bound to the canonical nf2_pool_* names in `registry`.
-  static BufferPoolMetrics ForRegistry(MetricsRegistry* registry);
-};
-
 /// Pre-resolved counter handles for the incremental checkpoint path
 /// (storage/checkpoint.h). Null pointers are skipped, so the delta
 /// writer can run without a registry (unit tests).
@@ -205,12 +192,10 @@ struct StatementCacheMetrics {
 
 /// Pre-resolved handles for the EngineGate (engine/concurrency.h).
 /// Null pointers are skipped, so a gate built without a registry
-/// (tests, embedders) records nothing. Since the snapshot read path
-/// landed, read-only statements acquire NO gate mode at all — these
-/// counters are how tests assert that (a read-only batch leaves both
-/// acquire counters unchanged).
+/// (tests, embedders) records nothing. Read-only statements never take
+/// the gate — the acquire counter is how tests assert that (a
+/// read-only batch leaves it unchanged).
 struct GateMetrics {
-  Counter* shared_acquires = nullptr;  // nf2_gate_shared_acquires_total
   Counter* write_acquires = nullptr;   // nf2_gate_write_acquires_total
   Histogram* write_wait_ns = nullptr;  // nf2_gate_write_wait_ns
 

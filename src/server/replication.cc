@@ -416,6 +416,9 @@ Replicator::Replicator(Options options, std::vector<Database*> shards,
       "Reconnect attempts to the primary (after a failure or disconnect)");
   metric_applied_records_ = registry->GetCounter(
       "nf2_repl_applied_records_total", "WAL records applied locally");
+  metric_snapshot_bootstraps_ = registry->GetCounter(
+      "nf2_repl_snapshot_bootstraps_total",
+      "Shard snapshot bootstraps completed (one per kSnapshotEnd applied)");
   metric_lag_records_ = registry->GetGauge(
       "nf2_repl_lag_records",
       "Records between the primary head and the applied position, summed "
@@ -777,6 +780,7 @@ Status Replicator::ApplySegment(int fd, const WalSegment& segment) {
       return ApplySnapshotRelation(shard, segment);
     case WalSegment::Kind::kSnapshotEnd: {
       NF2_RETURN_IF_ERROR(ApplySnapshotEnd(shard, segment));
+      metric_snapshot_bootstraps_->Increment();
       RefreshLagMetrics();
       return PersistAndAck(fd, shard);
     }

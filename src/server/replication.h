@@ -249,6 +249,7 @@ class Replicator {
   Counter* metric_segments_ = nullptr;
   Counter* metric_reconnects_ = nullptr;
   Counter* metric_applied_records_ = nullptr;
+  Counter* metric_snapshot_bootstraps_ = nullptr;
   Gauge* metric_lag_records_ = nullptr;
   Gauge* metric_lag_ms_ = nullptr;
 };

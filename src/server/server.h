@@ -64,8 +64,8 @@ struct ServerOptions {
 /// shut down connection reads (readers drain their in-flight request —
 /// workers are still alive to complete it — then roll back their
 /// session's open transaction and exit), then retire the workers, then
-/// checkpoint under the exclusive gate so the on-disk state reflects
-/// every acknowledged statement.
+/// checkpoint under the gate so the on-disk state reflects every
+/// acknowledged statement.
 class Server {
  public:
   /// Single-engine server: owns a SessionManager over `db`.

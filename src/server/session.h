@@ -164,9 +164,9 @@ class SessionManager : public SessionProvider {
   StatementCache stmt_cache_;
   std::atomic<uint64_t> next_session_id_{1};
   /// Id of the session holding the open transaction, 0 when none.
-  /// Written only under gate_'s exclusive lock (mutating statements,
-  /// aborts); atomic because the lock-free read path loads it to decide
-  /// between snapshot reads and read-your-own-writes live reads.
+  /// Written only under gate_ (mutating statements, aborts); atomic
+  /// because the lock-free read path loads it to decide between
+  /// snapshot reads and read-your-own-writes live reads.
   std::atomic<uint64_t> txn_owner_{0};
 
   // Registered once; sessions share the handles.
@@ -187,7 +187,7 @@ class SessionManager : public SessionProvider {
 /// it with zero engine-gate acquisitions — reads are read-committed
 /// (they see exactly the last commit boundary, never another session's
 /// in-flight transaction) and never block on, or are blocked by,
-/// writers. Everything else runs under the gate's exclusive lock.
+/// writers. Everything else runs under the gate.
 /// While one session holds the open transaction, other sessions'
 /// mutating statements are rejected with kUnavailable; the owning
 /// session's own reads go to the live database instead of a snapshot
@@ -210,8 +210,7 @@ class Session : public ClientSession {
   /// Parses (through the shared statement cache), classifies, and
   /// executes one statement (or one of the `\metrics [prom]` /
   /// `\sleep N` meta commands) — reads against a pinned snapshot,
-  /// writes under the exclusive gate — returning the rendered result
-  /// text.
+  /// writes under the gate — returning the rendered result text.
   Result<std::string> Execute(std::string_view statement) override;
 
   /// Executes `statements` in order, returning one result per

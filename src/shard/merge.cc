@@ -170,8 +170,8 @@ Result<std::string> ScatterOrdered(const SelectStatement& stmt,
   Schema schema;
   std::vector<std::vector<FlatTuple>> runs(shards.size());
   for (size_t i = 0; i < shards.size(); ++i) {
-    NF2_ASSIGN_OR_RETURN(runs[i],
-                         RunOnShard(per, shards[i], i == 0 ? &schema : nullptr));
+    NF2_ASSIGN_OR_RETURN(
+        runs[i], RunOnShard(per, shards[i], i == 0 ? &schema : nullptr));
     if (merged_rows != nullptr) *merged_rows += runs[i].size();
   }
   NF2_ASSIGN_OR_RETURN(size_t order_pos,

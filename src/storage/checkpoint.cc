@@ -118,40 +118,102 @@ Status SaveManifestAtomic(Env* env, const std::string& path,
   return env->WriteFileAtomic(path, file.data());
 }
 
-namespace {
-// Replaces the file at `path` wholesale with the serialized `pages`
-// via temp + rename + dir sync (crash-atomic: either the old file or
-// the complete new one survives), and sets `*entry` to the identity
-// mapping. The safe path whenever no DURABLE manifest entry protects
-// the file — shadow-writing into such a file and crashing before the
-// manifest lands would make the flat-read fallback see mixed pages.
 Status ReplaceTableFile(Env* env, const std::string& path,
-                        const std::vector<Page>& pages, uint64_t file_id,
-                        uint64_t new_version, TableManifest* entry,
-                        CheckpointDeltaStats* stats) {
+                        const std::vector<Page>& pages) {
   const std::string tmp = path + ".tmp";
-  TableManifest next;
-  next.file_id = file_id;
   {
     NF2_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> file,
                          HeapFile::Create(env, tmp));
     for (size_t i = 0; i < pages.size(); ++i) {
       NF2_RETURN_IF_ERROR(
           file->WritePageAt(static_cast<PageId>(i), pages[i]));
-      next.pages.push_back({static_cast<PageId>(i), new_version,
-                            Crc32(PageView(pages[i]))});
-      ++stats->pages_written;
-      stats->bytes_written += kPageSize;
     }
-    next.physical_pages = file->page_count();
     NF2_RETURN_IF_ERROR(file->Sync());
   }
   NF2_RETURN_IF_ERROR(env->RenameFile(tmp, path));
   std::string dir = std::filesystem::path(path).parent_path().string();
   if (dir.empty()) dir = ".";
-  NF2_RETURN_IF_ERROR(env->SyncDir(dir));
+  return env->SyncDir(dir);
+}
+
+namespace {
+// Replaces the file at `path` wholesale with `pages` and sets `*entry`
+// to their identity mapping. The safe path whenever no DURABLE
+// manifest entry protects the file — shadow-writing into such a file
+// and crashing before the manifest lands would make the flat-read
+// fallback see mixed pages.
+Status ReplaceWithIdentityMapping(Env* env, const std::string& path,
+                                  const std::vector<Page>& pages,
+                                  uint64_t file_id, uint64_t new_version,
+                                  TableManifest* entry,
+                                  CheckpointDeltaStats* stats) {
+  NF2_RETURN_IF_ERROR(ReplaceTableFile(env, path, pages));
+  TableManifest next;
+  next.file_id = file_id;
+  next.physical_pages = static_cast<PageId>(pages.size());
+  for (size_t i = 0; i < pages.size(); ++i) {
+    next.pages.push_back(
+        {static_cast<PageId>(i), new_version, Crc32(PageView(pages[i]))});
+  }
+  stats->pages_written += pages.size();
+  stats->bytes_written += pages.size() * kPageSize;
   *entry = std::move(next);
   return Status::OK();
+}
+
+// The one page decoder behind ReadTableFlat and ReadTableMapped. Logical
+// page i is physical page i when `entry` is null (a flat read, no CRCs)
+// and `entry->pages[i]` otherwise, checked against its CRC and, for the
+// metadata page, the entry's file identity.
+Result<StoredTable> DecodeTablePages(HeapFile* file, const std::string& path,
+                                     const TableManifest* entry) {
+  const size_t logical_pages =
+      entry != nullptr ? entry->pages.size() : file->page_count();
+  if (logical_pages == 0) {
+    return Status::Corruption(
+        StrCat("table file ", path, " has no metadata page"));
+  }
+  StoredTable out;
+  Page page;
+  for (size_t i = 0; i < logical_pages; ++i) {
+    const PageId physical = entry != nullptr ? entry->pages[i].physical
+                                             : static_cast<PageId>(i);
+    if (physical >= file->page_count()) {
+      return Status::Corruption(
+          StrCat("manifest maps logical page ", i, " of ", path,
+                 " past file end"));
+    }
+    NF2_RETURN_IF_ERROR(file->ReadPage(physical, &page));
+    if (entry != nullptr && Crc32(PageView(page)) != entry->pages[i].crc) {
+      return Status::Corruption(
+          StrCat("page checksum mismatch on logical page ", i, " of ",
+                 path));
+    }
+    if (i == 0) {
+      NF2_ASSIGN_OR_RETURN(std::string meta_bytes, page.Read(0));
+      NF2_ASSIGN_OR_RETURN(TableMeta meta, DecodeTableMeta(meta_bytes));
+      if (entry != nullptr && meta.file_id != entry->file_id) {
+        return Status::Corruption(
+            StrCat("file identity mismatch on ", path,
+                   ": manifest expects ", entry->file_id, ", file has ",
+                   meta.file_id));
+      }
+      out.schema = std::move(meta.schema);
+      out.nest_order = std::move(meta.nest_order);
+      out.file_id = meta.file_id;
+      out.relation = NfrRelation(out.schema);
+    }
+    for (auto& [slot, record] : page.LiveRecords()) {
+      if (i == 0 && slot == 0) continue;  // Metadata record.
+      BufferReader reader(record);
+      NF2_ASSIGN_OR_RETURN(NfrTuple tuple, DecodeNfrTuple(&reader));
+      if (tuple.degree() != out.schema.degree()) {
+        return Status::Corruption("stored tuple degree mismatch");
+      }
+      out.relation.Add(std::move(tuple));
+    }
+  }
+  return out;
 }
 }  // namespace
 
@@ -171,8 +233,8 @@ Result<CheckpointDeltaStats> CheckpointTableDelta(
     NF2_ASSIGN_OR_RETURN(
         std::vector<Page> pages,
         SerializeTablePages(schema, nest_order, file_id, relation));
-    NF2_RETURN_IF_ERROR(ReplaceTableFile(env, path, pages, file_id,
-                                         new_version, entry, &stats));
+    NF2_RETURN_IF_ERROR(ReplaceWithIdentityMapping(
+        env, path, pages, file_id, new_version, entry, &stats));
     return stats;
   }
 
@@ -204,7 +266,7 @@ Result<CheckpointDeltaStats> CheckpointTableDelta(
       identical = Crc32(PageView(pages[i])) == base.pages[i].crc;
     }
     if (identical) {
-      // A file freshly produced by WriteTableAtomic diffs to zero
+      // A file freshly produced by ReplaceTableFile diffs to zero
       // writes: adopt the identity mapping, touch nothing.
       stats.pages_skipped += pages.size();
       *entry = std::move(base);
@@ -216,8 +278,8 @@ Result<CheckpointDeltaStats> CheckpointTableDelta(
     // (crash-atomic) instead; from the next checkpoint on, the durable
     // entry enables true page deltas.
     file.reset();
-    NF2_RETURN_IF_ERROR(ReplaceTableFile(env, path, pages, file_id,
-                                         new_version, entry, &stats));
+    NF2_RETURN_IF_ERROR(ReplaceWithIdentityMapping(
+        env, path, pages, file_id, new_version, entry, &stats));
     return stats;
   }
 
@@ -267,7 +329,13 @@ Result<CheckpointDeltaStats> CheckpointTableDelta(
   return stats;
 }
 
-Result<MappedTable> ReadTableMapped(Env* env, const std::string& path,
+Result<StoredTable> ReadTableFlat(Env* env, const std::string& path) {
+  NF2_ASSIGN_OR_RETURN(std::unique_ptr<HeapFile> file,
+                       HeapFile::Open(env, path));
+  return DecodeTablePages(file.get(), path, nullptr);
+}
+
+Result<StoredTable> ReadTableMapped(Env* env, const std::string& path,
                                     const TableManifest& entry) {
   if (entry.pages.empty()) {
     return Status::Corruption(
@@ -276,46 +344,7 @@ Result<MappedTable> ReadTableMapped(Env* env, const std::string& path,
   NF2_ASSIGN_OR_RETURN(
       std::unique_ptr<HeapFile> file,
       HeapFile::Open(env, path, /*tolerate_torn_tail=*/true));
-  MappedTable out;
-  Page page;
-  for (size_t i = 0; i < entry.pages.size(); ++i) {
-    const PageVersion& pv = entry.pages[i];
-    if (pv.physical >= file->page_count()) {
-      return Status::Corruption(
-          StrCat("manifest maps logical page ", i, " of ", path,
-                 " past file end"));
-    }
-    NF2_RETURN_IF_ERROR(file->ReadPage(pv.physical, &page));
-    if (Crc32(PageView(page)) != pv.crc) {
-      return Status::Corruption(
-          StrCat("page checksum mismatch on logical page ", i, " of ",
-                 path));
-    }
-    if (i == 0) {
-      NF2_ASSIGN_OR_RETURN(std::string meta_bytes, page.Read(0));
-      NF2_ASSIGN_OR_RETURN(TableMeta meta, DecodeTableMeta(meta_bytes));
-      if (meta.file_id != entry.file_id) {
-        return Status::Corruption(
-            StrCat("file identity mismatch on ", path,
-                   ": manifest expects ", entry.file_id, ", file has ",
-                   meta.file_id));
-      }
-      out.schema = std::move(meta.schema);
-      out.nest_order = std::move(meta.nest_order);
-      out.file_id = meta.file_id;
-      out.relation = NfrRelation(out.schema);
-    }
-    for (auto& [slot, record] : page.LiveRecords()) {
-      if (i == 0 && slot == 0) continue;  // Metadata record.
-      BufferReader reader(record);
-      NF2_ASSIGN_OR_RETURN(NfrTuple tuple, DecodeNfrTuple(&reader));
-      if (tuple.degree() != out.schema.degree()) {
-        return Status::Corruption("stored tuple degree mismatch");
-      }
-      out.relation.Add(std::move(tuple));
-    }
-  }
-  return out;
+  return DecodeTablePages(file.get(), path, &entry);
 }
 
 uint64_t ProbeTableFileId(Env* env, const std::string& path) {

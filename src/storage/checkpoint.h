@@ -112,10 +112,11 @@ struct CheckpointDeltaStats {
 ///    the durable mapping, never flat.
 ///  - No durable mapping (missing file, fresh CREATE, or a stale
 ///    entry): if the serialized pages already equal the file's pages
-///    (a fresh WriteTableAtomic product) the identity mapping is
+///    (a fresh ReplaceTableFile product) the identity mapping is
 ///    adopted with zero writes; otherwise the file is replaced
-///    wholesale via temp + rename — shadow slots in an unmapped file
-///    are not crash-protected, so in-place deltas are off the table.
+///    wholesale via ReplaceTableFile — shadow slots in an unmapped
+///    file are not crash-protected, so in-place deltas are off the
+///    table.
 /// The file is fdatasync'd before returning whenever anything was
 /// written. The caller must only persist `*entry` (SaveManifestAtomic)
 /// AFTER this returns OK.
@@ -124,19 +125,35 @@ Result<CheckpointDeltaStats> CheckpointTableDelta(
     const Permutation& nest_order, const NfrRelation& relation,
     TableManifest* entry, uint64_t new_version);
 
-/// A table read through a manifest mapping.
-struct MappedTable {
+/// Crash-atomic whole-file replacement: writes `pages` (physical page
+/// i = pages[i]) to a sibling temp path, fdatasyncs it, renames it over
+/// `path` and syncs the parent directory. A crash at any point leaves
+/// either the old file or the complete new one, never a torn hybrid.
+/// CREATE writes its empty table file this way; so does a checkpoint
+/// whose file no durable manifest entry protects.
+Status ReplaceTableFile(Env* env, const std::string& path,
+                        const std::vector<Page>& pages);
+
+/// A table file decoded by ReadTableFlat or ReadTableMapped.
+struct StoredTable {
   Schema schema;
   Permutation nest_order;
   uint64_t file_id = 0;
   NfrRelation relation;
 };
 
+/// Reads the table at `path` flat: physical page i is logical page i,
+/// with no CRCs to check (a flat file is only ever renamed into place
+/// whole). Corruption when the file has no metadata page, is not
+/// page-aligned, carries a bad metadata record, or stores a tuple of
+/// the wrong degree.
+Result<StoredTable> ReadTableFlat(Env* env, const std::string& path);
+
 /// Reads the table at `path` through `entry`'s logical->physical
 /// mapping, verifying every page against its manifest CRC and the
 /// file_id against the metadata record. Any mismatch is Corruption:
 /// a mapped read must never silently mix page versions.
-Result<MappedTable> ReadTableMapped(Env* env, const std::string& path,
+Result<StoredTable> ReadTableMapped(Env* env, const std::string& path,
                                     const TableManifest& entry);
 
 /// The file_id stamped in the table file's metadata record (physical

@@ -5,10 +5,6 @@
 
 namespace nf2 {
 
-std::string RecordId::ToString() const {
-  return StrCat("(page=", page, ", slot=", slot, ")");
-}
-
 HeapFile::~HeapFile() {
   if (file_ != nullptr) {
     Status s = file_->Close();
@@ -58,14 +54,6 @@ Status HeapFile::ReadPage(PageId id, Page* page) {
                      page->mutable_data());
 }
 
-Status HeapFile::WritePage(PageId id, const Page& page) {
-  if (id >= page_count_) {
-    return Status::OutOfRange(StrCat("page ", id, " past end"));
-  }
-  return file_->Write(static_cast<uint64_t>(id) * kPageSize,
-                      std::string_view(page.data(), kPageSize));
-}
-
 Status HeapFile::WritePageAt(PageId id, const Page& page) {
   if (id > page_count_) {
     return Status::OutOfRange(StrCat("page ", id, " past end"));
@@ -75,16 +63,6 @@ Status HeapFile::WritePageAt(PageId id, const Page& page) {
                    std::string_view(page.data(), kPageSize)));
   if (id == page_count_) ++page_count_;
   return Status::OK();
-}
-
-Result<PageId> HeapFile::AllocatePage() {
-  Page fresh;
-  PageId id = page_count_;
-  NF2_RETURN_IF_ERROR(
-      file_->Write(static_cast<uint64_t>(id) * kPageSize,
-                   std::string_view(fresh.data(), kPageSize)));
-  ++page_count_;
-  return id;
 }
 
 Status HeapFile::Sync() { return file_->Sync(); }

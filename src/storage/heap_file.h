@@ -11,23 +11,14 @@
 
 namespace nf2 {
 
-/// Identifies a record inside a heap file.
-struct RecordId {
-  PageId page = kInvalidPageId;
-  uint16_t slot = 0;
-
-  bool valid() const { return page != kInvalidPageId; }
-  bool operator==(const RecordId&) const = default;
-  std::string ToString() const;
-};
-
-/// A page-structured file of variable-length records. Raw I/O only —
-/// callers go through BufferPool for caching. All I/O flows through the
-/// owning Env, so fault-injection tests can cut the write stream at any
-/// syscall.
+/// A page-structured file: raw, uncached page I/O for the table-file
+/// writer and reader in storage/checkpoint.h. All I/O flows through
+/// the owning Env, so fault-injection tests can cut the write stream at
+/// any syscall.
 ///
-/// Not thread-safe; nf2db is a single-threaded embedded engine like the
-/// systems of its era.
+/// Not thread-safe: each HeapFile is opened, used and closed by one
+/// checkpoint, recovery or tool call, all of which run under the
+/// engine's writer gate or before the engine serves requests.
 class HeapFile {
  public:
   HeapFile() = default;
@@ -48,9 +39,8 @@ class HeapFile {
   /// shadow-page append) is floored away instead of rejected: the torn
   /// region is never referenced by any manifest and is overwritten by
   /// the next extension.
-  static Result<std::unique_ptr<HeapFile>> Open(Env* env,
-                                                const std::string& path,
-                                                bool tolerate_torn_tail = false);
+  static Result<std::unique_ptr<HeapFile>> Open(
+      Env* env, const std::string& path, bool tolerate_torn_tail = false);
   static Result<std::unique_ptr<HeapFile>> Open(const std::string& path) {
     return Open(Env::Default(), path);
   }
@@ -61,16 +51,9 @@ class HeapFile {
   /// Reads page `id` into `*page`.
   Status ReadPage(PageId id, Page* page);
 
-  /// Writes `page` at `id` (must be < page_count()).
-  Status WritePage(PageId id, const Page& page);
-
   /// Writes `page` at `id`, extending the file by exactly one page when
-  /// `id == page_count()` — the shadow-page writer's append path, which
-  /// places a full image rather than a fresh empty page.
+  /// `id == page_count()` (past that is OutOfRange).
   Status WritePageAt(PageId id, const Page& page);
-
-  /// Appends a freshly formatted page; returns its id.
-  Result<PageId> AllocatePage();
 
   /// fdatasyncs the file: every written page is on stable storage when
   /// this returns OK.

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <filesystem>
 
 #include "storage/serde.h"
 #include "util/string_util.h"
@@ -95,179 +94,6 @@ Result<std::vector<Page>> SerializeTablePages(const Schema& schema,
     }
   }
   return pages;
-}
-
-Result<std::unique_ptr<Table>> Table::Create(Env* env,
-                                             const std::string& path,
-                                             Schema schema,
-                                             Permutation nest_order,
-                                             size_t pool_pages,
-                                             BufferPoolMetrics pool_metrics) {
-  if (!IsValidPermutation(nest_order, schema.degree())) {
-    return Status::InvalidArgument("nest order is not a permutation");
-  }
-  std::unique_ptr<Table> table(new Table());
-  table->env_ = env;
-  table->schema_ = std::move(schema);
-  table->nest_order_ = std::move(nest_order);
-  table->file_id_ = NewTableFileId();
-  table->pool_metrics_ = pool_metrics;
-  NF2_ASSIGN_OR_RETURN(table->file_, HeapFile::Create(env, path));
-  table->pool_ = std::make_unique<BufferPool>(table->file_.get(),
-                                              pool_pages, pool_metrics);
-  NF2_RETURN_IF_ERROR(table->WriteMetadata());
-  return table;
-}
-
-Result<std::unique_ptr<Table>> Table::Open(Env* env,
-                                           const std::string& path,
-                                           size_t pool_pages,
-                                           BufferPoolMetrics pool_metrics) {
-  std::unique_ptr<Table> table(new Table());
-  table->env_ = env;
-  table->pool_metrics_ = pool_metrics;
-  NF2_ASSIGN_OR_RETURN(table->file_, HeapFile::Open(env, path));
-  if (table->file_->page_count() == 0) {
-    return Status::Corruption("table file has no metadata page");
-  }
-  table->pool_ = std::make_unique<BufferPool>(table->file_.get(),
-                                              pool_pages, pool_metrics);
-  NF2_ASSIGN_OR_RETURN(Page * meta_page, table->pool_->Fetch(0));
-  NF2_ASSIGN_OR_RETURN(std::string meta, meta_page->Read(0));
-  NF2_ASSIGN_OR_RETURN(TableMeta decoded, DecodeTableMeta(meta));
-  table->schema_ = std::move(decoded.schema);
-  table->nest_order_ = std::move(decoded.nest_order);
-  table->file_id_ = decoded.file_id;
-  return table;
-}
-
-Status Table::WriteMetadata() {
-  auto allocated = pool_->Allocate();
-  if (!allocated.ok()) return allocated.status();
-  auto [id, page] = *allocated;
-  if (id != 0) {
-    return Status::Internal("metadata page must be page 0");
-  }
-  std::string meta = EncodeTableMeta({schema_, nest_order_, file_id_});
-  if (!page->Insert(meta).has_value()) {
-    return Status::Internal("metadata does not fit in one page");
-  }
-  pool_->MarkDirty(0);
-  return Status::OK();
-}
-
-Result<RecordId> Table::Append(const NfrTuple& tuple) {
-  if (tuple.degree() != schema_.degree()) {
-    return Status::InvalidArgument("tuple degree mismatch");
-  }
-  BufferWriter out;
-  EncodeNfrTuple(tuple, &out);
-  const std::string& record = out.data();
-  // Try the cursor page, then allocate.
-  for (PageId id = append_cursor_; id < file_->page_count(); ++id) {
-    NF2_ASSIGN_OR_RETURN(Page * page, pool_->Fetch(id));
-    std::optional<uint16_t> slot = page->Insert(record);
-    if (slot.has_value()) {
-      pool_->MarkDirty(id);
-      append_cursor_ = id;
-      return RecordId{id, *slot};
-    }
-  }
-  NF2_ASSIGN_OR_RETURN(auto allocated, pool_->Allocate());
-  auto [id, page] = allocated;
-  std::optional<uint16_t> slot = page->Insert(record);
-  if (!slot.has_value()) {
-    return Status::InvalidArgument(
-        StrCat("tuple record of ", record.size(),
-               " bytes does not fit in a fresh page"));
-  }
-  pool_->MarkDirty(id);
-  append_cursor_ = id;
-  return RecordId{id, *slot};
-}
-
-Status Table::Erase(RecordId rid) {
-  NF2_ASSIGN_OR_RETURN(Page * page, pool_->Fetch(rid.page));
-  NF2_RETURN_IF_ERROR(page->Delete(rid.slot));
-  pool_->MarkDirty(rid.page);
-  return Status::OK();
-}
-
-Result<NfrRelation> Table::ReadAll() {
-  NF2_ASSIGN_OR_RETURN(auto scanned, ScanWithIds());
-  NfrRelation out(schema_);
-  for (auto& [rid, tuple] : scanned) {
-    out.Add(std::move(tuple));
-  }
-  return out;
-}
-
-Result<std::vector<std::pair<RecordId, NfrTuple>>> Table::ScanWithIds() {
-  std::vector<std::pair<RecordId, NfrTuple>> out;
-  for (PageId id = 0; id < file_->page_count(); ++id) {
-    NF2_ASSIGN_OR_RETURN(Page * page, pool_->Fetch(id));
-    for (auto& [slot, record] : page->LiveRecords()) {
-      if (id == 0 && slot == 0) continue;  // Metadata record.
-      BufferReader reader(record);
-      NF2_ASSIGN_OR_RETURN(NfrTuple tuple, DecodeNfrTuple(&reader));
-      if (tuple.degree() != schema_.degree()) {
-        return Status::Corruption("stored tuple degree mismatch");
-      }
-      out.emplace_back(RecordId{id, slot}, std::move(tuple));
-    }
-  }
-  return out;
-}
-
-Status Table::Rewrite(const NfrRelation& relation) {
-  if (relation.schema() != schema_) {
-    return Status::InvalidArgument("relation schema mismatch on rewrite");
-  }
-  // Rebuild the file from scratch: metadata, then all tuples.
-  std::string path = file_->path();
-  pool_.reset();
-  file_.reset();
-  NF2_ASSIGN_OR_RETURN(file_, HeapFile::Create(env_, path));
-  pool_ = std::make_unique<BufferPool>(file_.get(), 64, pool_metrics_);
-  append_cursor_ = 0;
-  file_id_ = NewTableFileId();  // The rebuilt file is a new identity.
-  NF2_RETURN_IF_ERROR(WriteMetadata());
-  for (const NfrTuple& t : relation.tuples()) {
-    NF2_ASSIGN_OR_RETURN(RecordId rid, Append(t));
-    (void)rid;
-  }
-  return Flush();
-}
-
-Result<size_t> Table::Vacuum() {
-  NF2_ASSIGN_OR_RETURN(NfrRelation live, ReadAll());
-  NF2_RETURN_IF_ERROR(Rewrite(live));
-  return live.size();
-}
-
-Status Table::Flush() { return pool_->FlushAll(); }
-
-Status WriteTableAtomic(Env* env, const std::string& path,
-                        const Schema& schema, const Permutation& nest_order,
-                        const NfrRelation& relation,
-                        BufferPoolMetrics pool_metrics) {
-  const std::string tmp = path + ".tmp";
-  {
-    NF2_ASSIGN_OR_RETURN(
-        std::unique_ptr<Table> table,
-        Table::Create(env, tmp, schema, nest_order, /*pool_pages=*/64,
-                      pool_metrics));
-    for (const NfrTuple& t : relation.tuples()) {
-      NF2_RETURN_IF_ERROR(table->Append(t).status());
-    }
-    // FlushAll writes back every dirty page and fdatasyncs, so the temp
-    // file is complete on stable storage before the rename publishes it.
-    NF2_RETURN_IF_ERROR(table->Flush());
-  }
-  NF2_RETURN_IF_ERROR(env->RenameFile(tmp, path));
-  std::string dir = std::filesystem::path(path).parent_path().string();
-  if (dir.empty()) dir = ".";
-  return env->SyncDir(dir);
 }
 
 }  // namespace nf2

@@ -1,24 +1,30 @@
 #ifndef NF2_STORAGE_TABLE_H_
 #define NF2_STORAGE_TABLE_H_
 
-#include <memory>
 #include <string>
-#include <utility>
+#include <string_view>
 #include <vector>
 
 #include "core/nest.h"
 #include "core/relation.h"
-#include "storage/buffer_pool.h"
-#include "storage/heap_file.h"
+#include "storage/page.h"
 #include "util/result.h"
 
 namespace nf2 {
 
+/// The on-disk format of one table file — the paper's "realization
+/// view": the nested relation IS the physical representation, one
+/// record per NFR tuple, with correspondingly fewer records than the
+/// 1NF expansion. Files are written only by storage/checkpoint.h
+/// (ReplaceTableFile, CheckpointTableDelta) and read only through its
+/// one page decoder (ReadTableFlat, ReadTableMapped).
+
 /// The metadata record every table file carries in page 0, slot 0.
 /// `file_id` is a unique identity stamp minted whenever the file is
-/// built from scratch (Create / Rewrite); the checkpoint manifest
-/// records it so recovery can tell a shadow-paged file from one that
-/// was wholesale-replaced after the manifest was written.
+/// built from scratch (CREATE, or a checkpoint's wholesale replacement);
+/// the checkpoint manifest records it so recovery can tell a
+/// shadow-paged file from one that was wholesale-replaced after the
+/// manifest was written.
 struct TableMeta {
   Schema schema;
   Permutation nest_order;
@@ -31,101 +37,16 @@ Result<TableMeta> DecodeTableMeta(std::string_view bytes);
 /// A fresh, process-unique table file identity (never 0).
 uint64_t NewTableFileId();
 
-/// Deterministically packs `relation` into logical page images exactly
-/// as Table::Create + Append would lay them out: the metadata record in
-/// page 0 slot 0, then tuple records first-fit in tuple order. The
+/// Deterministically packs `relation` into logical page images: the
+/// metadata record in page 0 slot 0, then tuple records in tuple order,
+/// each appended to the last page or, when it does not fit, to a fresh
+/// one. A record larger than a fresh page is InvalidArgument. The
 /// incremental checkpoint diffs these images against the manifest's
 /// per-page CRCs to find the pages worth writing.
 Result<std::vector<Page>> SerializeTablePages(const Schema& schema,
                                               const Permutation& nest_order,
                                               uint64_t file_id,
                                               const NfrRelation& relation);
-
-/// A persistent NFR: one heap file holding a metadata record (schema +
-/// nest order) in page 0, slot 0, and one record per NFR tuple after
-/// it. This is the paper's "realization view": the nested relation IS
-/// the physical representation, with correspondingly fewer records than
-/// the 1NF expansion.
-class Table {
- public:
-  /// Creates an empty table file. `pool_metrics` handles (optional)
-  /// receive this table's buffer-pool events in addition to the local
-  /// pool_stats().
-  static Result<std::unique_ptr<Table>> Create(
-      Env* env, const std::string& path, Schema schema,
-      Permutation nest_order, size_t pool_pages = 64,
-      BufferPoolMetrics pool_metrics = {});
-  static Result<std::unique_ptr<Table>> Create(const std::string& path,
-                                               Schema schema,
-                                               Permutation nest_order,
-                                               size_t pool_pages = 64) {
-    return Create(Env::Default(), path, std::move(schema),
-                  std::move(nest_order), pool_pages);
-  }
-
-  /// Opens an existing table file and reads its metadata.
-  static Result<std::unique_ptr<Table>> Open(
-      Env* env, const std::string& path, size_t pool_pages = 64,
-      BufferPoolMetrics pool_metrics = {});
-  static Result<std::unique_ptr<Table>> Open(const std::string& path,
-                                             size_t pool_pages = 64) {
-    return Open(Env::Default(), path, pool_pages);
-  }
-
-  const Schema& schema() const { return schema_; }
-  const Permutation& nest_order() const { return nest_order_; }
-  const std::string& path() const { return file_->path(); }
-  uint64_t file_id() const { return file_id_; }
-
-  /// Appends one NFR tuple; returns where it landed.
-  Result<RecordId> Append(const NfrTuple& tuple);
-
-  /// Tombstones the record at `rid`.
-  Status Erase(RecordId rid);
-
-  /// Scans all live tuples into an NfrRelation.
-  Result<NfrRelation> ReadAll();
-
-  /// Scans all live tuples with their record ids.
-  Result<std::vector<std::pair<RecordId, NfrTuple>>> ScanWithIds();
-
-  /// Replaces the table contents with `relation` (used by checkpoints).
-  Status Rewrite(const NfrRelation& relation);
-
-  /// Compacts the file in place: rewrites live tuples, dropping
-  /// tombstone space and empty pages. Record ids are NOT stable across
-  /// a vacuum. Returns the number of live tuples kept.
-  Result<size_t> Vacuum();
-
-  /// Flushes dirty pages and fdatasyncs the file.
-  Status Flush();
-
-  const BufferPool::Stats& pool_stats() const { return pool_->stats(); }
-
- private:
-  Table() = default;
-
-  Status WriteMetadata();
-
-  Env* env_ = nullptr;
-  Schema schema_;
-  Permutation nest_order_;
-  uint64_t file_id_ = 0;
-  std::unique_ptr<HeapFile> file_;
-  std::unique_ptr<BufferPool> pool_;
-  BufferPoolMetrics pool_metrics_;
-  PageId append_cursor_ = 0;  // Page most likely to have free space.
-};
-
-/// Crash-atomic whole-table replacement: builds the table at a sibling
-/// temp path, flushes and syncs it, renames it over `path`, and syncs
-/// the parent directory. A crash at any point leaves either the old
-/// table file or the new one, never a torn hybrid — the building block
-/// of the checkpoint protocol.
-Status WriteTableAtomic(Env* env, const std::string& path,
-                        const Schema& schema, const Permutation& nest_order,
-                        const NfrRelation& relation,
-                        BufferPoolMetrics pool_metrics = {});
 
 }  // namespace nf2
 

@@ -3,8 +3,8 @@
 // TSan failures point straight at engine-level races.
 //
 // The torture test's oracle argument: with a single writer session, the
-// reader interleaving cannot affect the final state (readers take only
-// shared locks and never mutate), so the database after the concurrent
+// reader interleaving cannot affect the final state (readers read pinned
+// snapshots and never mutate), so the database after the concurrent
 // run must be bit-identical to replaying the writer's statement stream
 // into a fresh single-threaded database.
 

@@ -145,8 +145,8 @@ Status RunWorkload(Database* db, std::vector<Snapshot>* snapshots,
     if (unit > 0 && unit % 40 == 0) {
       // Checkpoint unit: no logical change, heavy I/O — many of the
       // most interesting injection points live here.
-      NF2_RETURN_IF_ERROR(run_unit([](ShadowMap*) {},
-                                   [&](ShadowMap*) { return db->Checkpoint(); }));
+      NF2_RETURN_IF_ERROR(run_unit(
+          [](ShadowMap*) {}, [&](ShadowMap*) { return db->Checkpoint(); }));
       continue;
     }
     if (unit == 250) {

@@ -4,7 +4,6 @@
 
 #include "core/diff.h"
 #include "engine/database.h"
-#include "storage/table.h"
 #include "tests/test_util.h"
 
 namespace nf2 {
@@ -82,41 +81,6 @@ TEST(DiffTest, SyncPropertySweep) {
     ASSERT_EQ(rel->relation().Expand(), b);
     ASSERT_TRUE(rel->relation().Validate().ok());
   }
-}
-
-TEST(VacuumTest, ReclaimsTombstoneSpace) {
-  auto dir = std::filesystem::temp_directory_path() / "nf2_vacuum_test";
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  std::string path = (dir / "r.tbl").string();
-  Schema schema = Schema::OfStrings({"A"});
-  auto table = Table::Create(path, schema, {0});
-  ASSERT_TRUE(table.ok());
-  std::vector<RecordId> rids;
-  for (int i = 0; i < 500; ++i) {
-    Result<RecordId> rid = (*table)->Append(
-        NfrTuple{ValueSet(V(StrCat("value_with_padding_", i).c_str()))});
-    ASSERT_TRUE(rid.ok());
-    rids.push_back(*rid);
-  }
-  // Tombstone most of them.
-  for (size_t i = 0; i < rids.size(); ++i) {
-    if (i % 10 != 0) {
-      ASSERT_TRUE((*table)->Erase(rids[i]).ok());
-    }
-  }
-  ASSERT_TRUE((*table)->Flush().ok());
-  uintmax_t before = std::filesystem::file_size(path);
-  Result<size_t> kept = (*table)->Vacuum();
-  ASSERT_TRUE(kept.ok());
-  EXPECT_EQ(*kept, 50u);
-  uintmax_t after = std::filesystem::file_size(path);
-  EXPECT_LT(after, before / 2);
-  // Contents intact.
-  auto all = (*table)->ReadAll();
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 50u);
-  std::filesystem::remove_all(dir);
 }
 
 TEST(VerifyIntegrityTest, PassesOnHealthyDatabase) {

@@ -178,9 +178,9 @@ TEST(RegistryTest, PrometheusTextFormat) {
 }
 
 TEST(MetricHandlesTest, NullRegistryYieldsNoopHandles) {
-  BufferPoolMetrics pool = BufferPoolMetrics::ForRegistry(nullptr);
-  EXPECT_EQ(pool.hits, nullptr);
-  EXPECT_EQ(pool.writebacks, nullptr);
+  GateMetrics gate = GateMetrics::ForRegistry(nullptr);
+  EXPECT_EQ(gate.write_acquires, nullptr);
+  EXPECT_EQ(gate.write_wait_ns, nullptr);
   UpdatePathMetrics upd = UpdatePathMetrics::ForRegistry(nullptr);
   EXPECT_EQ(upd.compositions, nullptr);
   EXPECT_EQ(upd.recons_ns, nullptr);
@@ -188,14 +188,14 @@ TEST(MetricHandlesTest, NullRegistryYieldsNoopHandles) {
 
 TEST(MetricHandlesTest, ForRegistryBindsCanonicalNames) {
   MetricsRegistry reg;
-  BufferPoolMetrics pool = BufferPoolMetrics::ForRegistry(&reg);
-  ASSERT_NE(pool.misses, nullptr);
-  pool.misses->Increment(2);
+  GateMetrics gate = GateMetrics::ForRegistry(&reg);
+  ASSERT_NE(gate.write_acquires, nullptr);
+  gate.write_acquires->Increment(2);
   UpdatePathMetrics upd = UpdatePathMetrics::ForRegistry(&reg);
   ASSERT_NE(upd.compositions, nullptr);
   upd.compositions->Increment(3);
   MetricsSnapshot snap = reg.Snapshot();
-  EXPECT_EQ(snap.counter("nf2_pool_misses_total"), 2u);
+  EXPECT_EQ(snap.counter("nf2_gate_write_acquires_total"), 2u);
   EXPECT_EQ(snap.counter("nf2_compo_total"), 3u);
 }
 

@@ -272,6 +272,11 @@ class ReplicationTest : public ::testing::Test {
     }
   }
 
+  /// The follower-side value of counter `name`.
+  uint64_t FollowerCounter(const char* name) {
+    return follower_router_->metrics_registry()->GetCounter(name)->value();
+  }
+
   /// The Theorem-2 acceptance check: every relation's stored canonical
   /// form, rendered per shard, must be bit-identical between primary
   /// and follower.
@@ -359,6 +364,9 @@ TEST_F(ReplicationTest, FollowerCatchesUpThenTailsLiveWrites) {
     ASSERT_TRUE(follower.Quit().ok());
   }
   ExpectCanonicalFormsIdentical();
+  // The WAL was never truncated, so both phases streamed records.
+  EXPECT_EQ(FollowerCounter("nf2_repl_snapshot_bootstraps_total"), 0u);
+  EXPECT_GT(FollowerCounter("nf2_repl_applied_records_total"), 0u);
 }
 
 TEST_F(ReplicationTest, FollowerRejectsWritesAndTransactions) {
@@ -469,6 +477,7 @@ TEST_F(ReplicationTest, FreshFollowerBootstrapsFromSnapshotAfterTruncate) {
     ASSERT_TRUE(follower.Quit().ok());
   }
   ExpectCanonicalFormsIdentical();
+  EXPECT_GE(FollowerCounter("nf2_repl_snapshot_bootstraps_total"), 1u);
 }
 
 TEST_F(ReplicationTest, FollowerReconnectsAfterPrimaryRestart) {
@@ -611,6 +620,23 @@ TEST_F(ReplicationTest, ShardedWriteStormSurvivesPrimaryKills) {
   };
 
   for (int phase = 0; phase < kPhases; ++phase) {
+    // Let the follower reach the live primary, then write while it
+    // tails. No checkpoint runs until it has applied these writes, so
+    // they reach it as WAL records, however the threads are scheduled;
+    // without this, a loaded host can let every catch-up happen by
+    // snapshot bootstrap after the checkpoints truncated the WAL.
+    AwaitCaughtUp();
+    if (::testing::Test::HasFailure()) return;
+    for (size_t s = 0; s < primary_router_->shard_count(); ++s) {
+      ASSERT_TRUE(primary_router_->shard_db(s)
+                      ->Insert("storm",
+                               FlatTuple{Value::String(StrCat("live", phase)),
+                                         Value::String("v"),
+                                         Value::String("w")})
+                      .ok());
+    }
+    AwaitCaughtUp();
+    if (::testing::Test::HasFailure()) return;
     for (int unit = 0; unit < kUnitsPerPhase; ++unit) {
       one_unit(phase, unit);
       if (::testing::Test::HasFailure()) return;
@@ -634,14 +660,12 @@ TEST_F(ReplicationTest, ShardedWriteStormSurvivesPrimaryKills) {
   // At least some kills must have hit a live connection (the follower
   // can sleep in backoff through a fast kill/restart cycle, so the
   // count is not exactly kPhases).
-  EXPECT_GE(follower_router_->metrics_registry()
-                ->GetCounter("nf2_repl_reconnects_total")
-                ->value(),
-            2u);
-  EXPECT_GT(follower_router_->metrics_registry()
-                ->GetCounter("nf2_repl_applied_records_total")
-                ->value(),
-            0u);
+  EXPECT_GE(FollowerCounter("nf2_repl_reconnects_total"), 2u);
+  // Every phase's live writes arrived as records.
+  EXPECT_GE(FollowerCounter("nf2_repl_applied_records_total"),
+            static_cast<uint64_t>(kPhases * kShards))
+      << "snapshot bootstraps: "
+      << FollowerCounter("nf2_repl_snapshot_bootstraps_total");
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "core/nest.h"
-#include "storage/buffer_pool.h"
+#include "engine/database.h"
 #include "storage/checkpoint.h"
 #include "storage/fault_injection_env.h"
 #include "storage/heap_file.h"
@@ -103,16 +104,14 @@ TEST_F(StorageTest, HeapFileCreateWriteRead) {
   auto hf = HeapFile::Create(Path("t.nf2"));
   ASSERT_TRUE(hf.ok());
   EXPECT_EQ((*hf)->page_count(), 0u);
-  Result<PageId> p0 = (*hf)->AllocatePage();
-  ASSERT_TRUE(p0.ok());
-  EXPECT_EQ(*p0, 0u);
   Page page;
   page.Insert("persisted");
-  ASSERT_TRUE((*hf)->WritePage(*p0, page).ok());
+  ASSERT_TRUE((*hf)->WritePageAt(0, page).ok());
+  EXPECT_EQ((*hf)->page_count(), 1u);
   ASSERT_TRUE((*hf)->Sync().ok());
 
   Page loaded;
-  ASSERT_TRUE((*hf)->ReadPage(*p0, &loaded).ok());
+  ASSERT_TRUE((*hf)->ReadPage(0, &loaded).ok());
   EXPECT_EQ(*loaded.Read(0), "persisted");
 }
 
@@ -120,11 +119,10 @@ TEST_F(StorageTest, HeapFileReopenSeesData) {
   {
     auto hf = HeapFile::Create(Path("t.nf2"));
     ASSERT_TRUE(hf.ok());
-    ASSERT_TRUE((*hf)->AllocatePage().ok());
-    ASSERT_TRUE((*hf)->AllocatePage().ok());
     Page page;
+    ASSERT_TRUE((*hf)->WritePageAt(0, page).ok());
     page.Insert("second page record");
-    ASSERT_TRUE((*hf)->WritePage(1, page).ok());
+    ASSERT_TRUE((*hf)->WritePageAt(1, page).ok());
   }
   auto reopened = HeapFile::Open(Path("t.nf2"));
   ASSERT_TRUE(reopened.ok());
@@ -148,54 +146,8 @@ TEST_F(StorageTest, HeapFileErrors) {
   ASSERT_TRUE(hf.ok());
   Page page;
   EXPECT_EQ((*hf)->ReadPage(5, &page).code(), StatusCode::kOutOfRange);
-  EXPECT_EQ((*hf)->WritePage(5, page).code(), StatusCode::kOutOfRange);
-}
-
-TEST_F(StorageTest, BufferPoolCachesAndEvicts) {
-  auto hf = HeapFile::Create(Path("t.nf2"));
-  ASSERT_TRUE(hf.ok());
-  BufferPool pool(hf->get(), 2);
-  // Allocate 3 pages through the pool: capacity 2 forces an eviction.
-  for (int i = 0; i < 3; ++i) {
-    auto allocated = pool.Allocate();
-    ASSERT_TRUE(allocated.ok());
-    auto [id, page] = *allocated;
-    page->Insert(StrCat("page ", id));
-    pool.MarkDirty(id);
-  }
-  EXPECT_EQ(pool.resident_pages(), 2u);
-  EXPECT_GE(pool.stats().evictions, 1u);
-  EXPECT_GE(pool.stats().writebacks, 1u);  // Evicted page was dirty.
-  // Fetching page 0 reloads from disk with the evicted content intact.
-  auto page0 = pool.Fetch(0);
-  ASSERT_TRUE(page0.ok());
-  EXPECT_EQ(*(*page0)->Read(0), "page 0");
-}
-
-TEST_F(StorageTest, BufferPoolHitMissAccounting) {
-  auto hf = HeapFile::Create(Path("t.nf2"));
-  ASSERT_TRUE(hf.ok());
-  for (int i = 0; i < 4; ++i) ASSERT_TRUE((*hf)->AllocatePage().ok());
-  BufferPool pool(hf->get(), 4);
-  ASSERT_TRUE(pool.Fetch(0).ok());
-  ASSERT_TRUE(pool.Fetch(0).ok());
-  ASSERT_TRUE(pool.Fetch(1).ok());
-  EXPECT_EQ(pool.stats().misses, 2u);
-  EXPECT_EQ(pool.stats().hits, 1u);
-}
-
-TEST_F(StorageTest, BufferPoolFlushAllPersists) {
-  auto hf = HeapFile::Create(Path("t.nf2"));
-  ASSERT_TRUE(hf.ok());
-  BufferPool pool(hf->get(), 8);
-  auto allocated = pool.Allocate();
-  ASSERT_TRUE(allocated.ok());
-  allocated->second->Insert("durable");
-  pool.MarkDirty(allocated->first);
-  ASSERT_TRUE(pool.FlushAll().ok());
-  Page direct;
-  ASSERT_TRUE((*hf)->ReadPage(allocated->first, &direct).ok());
-  EXPECT_EQ(*direct.Read(0), "durable");
+  // Writes may extend the file by one page, never leave a hole.
+  EXPECT_EQ((*hf)->WritePageAt(5, page).code(), StatusCode::kOutOfRange);
 }
 
 TEST_F(StorageTest, WalAppendAndReadAll) {
@@ -520,121 +472,129 @@ TEST_F(StorageTest, WalRandomCorruptionNeverCrashesAndKeepsPrefix) {
   }
 }
 
-TEST_F(StorageTest, TableRejectsOversizedTuple) {
+// ---- Table files: SerializeTablePages + ReplaceTableFile + flat read --
+
+namespace {
+/// Writes `rel` as a fresh flat table file, the way CREATE writes its
+/// empty one; returns the file's identity stamp.
+Result<uint64_t> WriteFlatTable(const std::string& path,
+                                const Schema& schema,
+                                const Permutation& nest_order,
+                                const NfrRelation& rel) {
+  const uint64_t file_id = NewTableFileId();
+  NF2_ASSIGN_OR_RETURN(std::vector<Page> pages,
+                       SerializeTablePages(schema, nest_order, file_id, rel));
+  NF2_RETURN_IF_ERROR(ReplaceTableFile(Env::Default(), path, pages));
+  return file_id;
+}
+
+/// Overwrites `path` with `bytes`.
+void WriteRawFile(const std::string& path, const std::string& bytes) {
+  std::ofstream f(path, std::ios::binary | std::ios::trunc);
+  f.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+}  // namespace
+
+TEST_F(StorageTest, SerializeTablePagesRejectsBadInputs) {
   Schema schema = Schema::OfStrings({"A"});
-  auto table = Table::Create(Path("r.tbl"), schema, {0});
-  ASSERT_TRUE(table.ok());
+  NfrRelation rel(schema);
+  rel.Add(NfrTuple{ValueSet(V("ok"))});
   // One giant string value larger than a page.
-  std::string huge(kPageSize + 100, 'x');
-  Result<RecordId> rid =
-      (*table)->Append(NfrTuple{ValueSet(Value::String(huge))});
-  ASSERT_FALSE(rid.ok());
-  EXPECT_EQ(rid.status().code(), StatusCode::kInvalidArgument);
-  // The table remains usable afterwards.
-  EXPECT_TRUE((*table)->Append(NfrTuple{ValueSet(V("ok"))}).ok());
+  rel.Add(NfrTuple{ValueSet(Value::String(std::string(kPageSize + 100, 'x')))});
+  EXPECT_EQ(SerializeTablePages(schema, {0}, 1, rel).status().code(),
+            StatusCode::kInvalidArgument);
+  // A relation of another schema than the table's.
+  EXPECT_EQ(SerializeTablePages(Schema::OfStrings({"A", "B"}), {0, 1}, 1,
+                                NfrRelation(schema))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
-TEST_F(StorageTest, TableCreateAppendScan) {
+TEST_F(StorageTest, FlatTableRoundTripsAcrossPages) {
   Schema schema = Schema::OfStrings({"A", "B"});
-  auto table = Table::Create(Path("r.tbl"), schema, {0, 1});
-  ASSERT_TRUE(table.ok());
-  NfrTuple t1{ValueSet{V("a1"), V("a2")}, ValueSet(V("b1"))};
-  NfrTuple t2{ValueSet(V("a3")), ValueSet(V("b2"))};
-  ASSERT_TRUE((*table)->Append(t1).ok());
-  ASSERT_TRUE((*table)->Append(t2).ok());
-  auto all = (*table)->ReadAll();
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->size(), 2u);
-  NfrRelation expected(schema);
-  expected.Add(t1);
-  expected.Add(t2);
-  EXPECT_TRUE(all->EqualsAsSet(expected));
-}
-
-TEST_F(StorageTest, TablePersistsAcrossReopen) {
-  Schema schema = Schema::OfStrings({"A", "B"});
-  NfrTuple t{ValueSet{V("a1"), V("a2")}, ValueSet(V("b1"))};
-  {
-    auto table = Table::Create(Path("r.tbl"), schema, {1, 0});
-    ASSERT_TRUE(table.ok());
-    ASSERT_TRUE((*table)->Append(t).ok());
-    ASSERT_TRUE((*table)->Flush().ok());
-  }
-  auto reopened = Table::Open(Path("r.tbl"));
-  ASSERT_TRUE(reopened.ok());
-  EXPECT_EQ((*reopened)->schema(), schema);
-  EXPECT_EQ((*reopened)->nest_order(), (Permutation{1, 0}));
-  auto all = (*reopened)->ReadAll();
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->size(), 1u);
-  EXPECT_EQ(all->tuple(0), t);
-}
-
-TEST_F(StorageTest, TableEraseRemovesTuple) {
-  Schema schema = Schema::OfStrings({"A"});
-  auto table = Table::Create(Path("r.tbl"), schema, {0});
-  ASSERT_TRUE(table.ok());
-  Result<RecordId> rid = (*table)->Append(NfrTuple{ValueSet(V("x"))});
-  ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE((*table)->Append(NfrTuple{ValueSet(V("y"))}).ok());
-  ASSERT_TRUE((*table)->Erase(*rid).ok());
-  auto all = (*table)->ReadAll();
-  ASSERT_TRUE(all.ok());
-  ASSERT_EQ(all->size(), 1u);
-  EXPECT_EQ(all->tuple(0), NfrTuple{ValueSet(V("y"))});
-}
-
-TEST_F(StorageTest, TableSpillsAcrossPages) {
-  Schema schema = Schema::OfStrings({"A", "B"});
-  auto table = Table::Create(Path("r.tbl"), schema, {0, 1}, /*pool=*/4);
-  ASSERT_TRUE(table.ok());
-  // Enough tuples with fat components to exceed a few pages.
+  // Enough tuples with fat components to span several pages, stored
+  // under a non-identity nest order.
   NfrRelation expected(schema);
   for (int i = 0; i < 300; ++i) {
     ValueSet courses;
     for (int j = 0; j < 8; ++j) {
       courses.Insert(V(StrCat("course_with_long_name_", i, "_", j).c_str()));
     }
-    NfrTuple t{ValueSet(V(StrCat("student", i).c_str())), courses};
-    expected.Add(t);
-    ASSERT_TRUE((*table)->Append(t).ok());
+    expected.Add(NfrTuple{ValueSet(V(StrCat("student", i).c_str())), courses});
   }
-  ASSERT_TRUE((*table)->Flush().ok());
-  auto all = (*table)->ReadAll();
-  ASSERT_TRUE(all.ok());
-  EXPECT_TRUE(all->EqualsAsSet(expected));
-  // More than one page and pool pressure happened.
-  EXPECT_GT((*table)->pool_stats().evictions, 0u);
-}
+  Result<uint64_t> id =
+      WriteFlatTable(Path("r.tbl"), schema, {1, 0}, expected);
+  ASSERT_TRUE(id.ok()) << id.status();
+  auto file = HeapFile::Open(Path("r.tbl"));
+  ASSERT_TRUE(file.ok());
+  EXPECT_GT((*file)->page_count(), 3u);
+  EXPECT_FALSE(std::filesystem::exists(Path("r.tbl.tmp")));
 
-TEST_F(StorageTest, TableRewriteReplacesContents) {
-  Schema schema = Schema::OfStrings({"A"});
-  auto table = Table::Create(Path("r.tbl"), schema, {0});
-  ASSERT_TRUE(table.ok());
-  ASSERT_TRUE((*table)->Append(NfrTuple{ValueSet(V("old"))}).ok());
+  Result<StoredTable> read = ReadTableFlat(Env::Default(), Path("r.tbl"));
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->schema, schema);
+  EXPECT_EQ(read->nest_order, (Permutation{1, 0}));
+  EXPECT_EQ(read->file_id, *id);
+  ASSERT_EQ(read->relation.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(read->relation.tuple(i), expected.tuple(i)) << "tuple " << i;
+  }
+
+  // Replacing the file swaps its contents and identity whole.
   NfrRelation fresh(schema);
-  fresh.Add(NfrTuple{ValueSet(V("new1"))});
-  fresh.Add(NfrTuple{ValueSet(V("new2"))});
-  ASSERT_TRUE((*table)->Rewrite(fresh).ok());
-  auto all = (*table)->ReadAll();
-  ASSERT_TRUE(all.ok());
-  EXPECT_TRUE(all->EqualsAsSet(fresh));
-  // And it survives reopen.
-  auto reopened = Table::Open(Path("r.tbl"));
-  ASSERT_TRUE(reopened.ok());
-  auto all2 = (*reopened)->ReadAll();
-  ASSERT_TRUE(all2.ok());
-  EXPECT_TRUE(all2->EqualsAsSet(fresh));
+  fresh.Add(NfrTuple{ValueSet(V("new")), ValueSet(V("x"))});
+  Result<uint64_t> id2 = WriteFlatTable(Path("r.tbl"), schema, {1, 0}, fresh);
+  ASSERT_TRUE(id2.ok()) << id2.status();
+  read = ReadTableFlat(Env::Default(), Path("r.tbl"));
+  ASSERT_TRUE(read.ok()) << read.status();
+  EXPECT_EQ(read->file_id, *id2);
+  EXPECT_TRUE(read->relation.EqualsAsSet(fresh));
 }
 
-TEST_F(StorageTest, TableRejectsBadInputs) {
+TEST_F(StorageTest, FlatReadFailsClosed) {
+  Env* env = Env::Default();
   Schema schema = Schema::OfStrings({"A", "B"});
-  EXPECT_FALSE(Table::Create(Path("r.tbl"), schema, {0}).ok());
-  auto table = Table::Create(Path("r2.tbl"), schema, {0, 1});
-  ASSERT_TRUE(table.ok());
-  EXPECT_FALSE((*table)->Append(NfrTuple{ValueSet(V("x"))}).ok());
-  NfrRelation wrong(Schema::OfStrings({"Z"}));
-  EXPECT_FALSE((*table)->Rewrite(wrong).ok());
+  EXPECT_EQ(ReadTableFlat(env, Path("missing.tbl")).status().code(),
+            StatusCode::kNotFound);
+  // An empty file has no metadata page.
+  WriteRawFile(Path("empty.tbl"), "");
+  EXPECT_EQ(ReadTableFlat(env, Path("empty.tbl")).status().code(),
+            StatusCode::kCorruption);
+
+  Result<uint64_t> id =
+      WriteFlatTable(Path("r.tbl"), schema, {0, 1}, NfrRelation(schema));
+  ASSERT_TRUE(id.ok()) << id.status();
+  Result<std::string> good = env->ReadFileToString(Path("r.tbl"));
+  ASSERT_TRUE(good.ok());
+
+  // A torn (non-page-aligned) flat file: flat files are only ever
+  // renamed into place whole, so this is corruption, not a crash tail.
+  WriteRawFile(Path("torn.tbl"), *good + "tail");
+  EXPECT_EQ(ReadTableFlat(env, Path("torn.tbl")).status().code(),
+            StatusCode::kCorruption);
+
+  // Bad magic in the metadata record (the record sits at the page tail).
+  std::string bad_magic = *good;
+  Page page;
+  std::memcpy(page.mutable_data(), good->data(), kPageSize);
+  Result<std::string> meta = page.Read(0);
+  ASSERT_TRUE(meta.ok());
+  bad_magic[kPageSize - meta->size()] ^= 0x5a;
+  WriteRawFile(Path("magic.tbl"), bad_magic);
+  EXPECT_EQ(ReadTableFlat(env, Path("magic.tbl")).status().code(),
+            StatusCode::kCorruption);
+
+  // A tuple record whose degree disagrees with the stored schema.
+  BufferWriter record;
+  EncodeNfrTuple(NfrTuple{ValueSet(V("x"))}, &record);
+  ASSERT_TRUE(page.Insert(record.data()).has_value());
+  WriteRawFile(Path("degree.tbl"), std::string(page.data(), kPageSize));
+  Result<StoredTable> read = ReadTableFlat(env, Path("degree.tbl"));
+  EXPECT_EQ(read.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(read.status().ToString().find("degree mismatch"),
+            std::string::npos)
+      << read.status();
 }
 
 // ---- Incremental checkpoint manifest (DESIGN.md §12) ------------------
@@ -727,20 +687,18 @@ TEST_F(StorageTest, TruncatedManifestFailsClosed) {
 TEST_F(StorageTest, CheckpointDeltaAdoptsFreshFlatFileWithZeroWrites) {
   Schema schema = Schema::OfStrings({"K", "P"});
   NfrRelation rel = BulkRelation(schema, 60, "a");
-  ASSERT_TRUE(
-      WriteTableAtomic(Env::Default(), Path("r.tbl"), schema, {0, 1}, rel)
-          .ok());
+  ASSERT_TRUE(WriteFlatTable(Path("r.tbl"), schema, {0, 1}, rel).ok());
   TableManifest entry;
   Result<CheckpointDeltaStats> stats = CheckpointTableDelta(
       Env::Default(), Path("r.tbl"), schema, {0, 1}, rel, &entry,
       /*new_version=*/1);
   ASSERT_TRUE(stats.ok()) << stats.status();
-  // The file WriteTableAtomic just produced serializes identically, so
+  // The file ReplaceTableFile just produced serializes identically, so
   // adoption costs zero writes.
   EXPECT_EQ(stats->pages_written, 0u);
   EXPECT_GT(stats->pages_skipped, 0u);
   EXPECT_EQ(entry.file_id, ProbeTableFileId(Env::Default(), Path("r.tbl")));
-  Result<MappedTable> mapped =
+  Result<StoredTable> mapped =
       ReadTableMapped(Env::Default(), Path("r.tbl"), entry);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   EXPECT_TRUE(mapped->relation.EqualsAsSet(rel));
@@ -749,9 +707,7 @@ TEST_F(StorageTest, CheckpointDeltaAdoptsFreshFlatFileWithZeroWrites) {
 TEST_F(StorageTest, CheckpointDeltaWritesOnlyChangedPages) {
   Schema schema = Schema::OfStrings({"K", "P"});
   NfrRelation rel = BulkRelation(schema, 60, "a");
-  ASSERT_TRUE(
-      WriteTableAtomic(Env::Default(), Path("r.tbl"), schema, {0, 1}, rel)
-          .ok());
+  ASSERT_TRUE(WriteFlatTable(Path("r.tbl"), schema, {0, 1}, rel).ok());
   TableManifest entry;
   ASSERT_TRUE(CheckpointTableDelta(Env::Default(), Path("r.tbl"), schema,
                                    {0, 1}, rel, &entry, 1)
@@ -769,7 +725,7 @@ TEST_F(StorageTest, CheckpointDeltaWritesOnlyChangedPages) {
   EXPECT_LE(stats->pages_written, 2u);
   EXPECT_EQ(stats->bytes_written, stats->pages_written * kPageSize);
   // The mapped read sees the new state, bit-exactly.
-  Result<MappedTable> mapped =
+  Result<StoredTable> mapped =
       ReadTableMapped(Env::Default(), Path("r.tbl"), entry);
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   EXPECT_TRUE(mapped->relation.EqualsAsSet(rel));
@@ -780,9 +736,7 @@ TEST_F(StorageTest, CheckpointDeltaWritesOnlyChangedPages) {
 TEST_F(StorageTest, CheckpointDeltaPreservesOldMappedVersions) {
   Schema schema = Schema::OfStrings({"K", "P"});
   NfrRelation rel = BulkRelation(schema, 60, "a");
-  ASSERT_TRUE(
-      WriteTableAtomic(Env::Default(), Path("r.tbl"), schema, {0, 1}, rel)
-          .ok());
+  ASSERT_TRUE(WriteFlatTable(Path("r.tbl"), schema, {0, 1}, rel).ok());
   TableManifest entry;
   ASSERT_TRUE(CheckpointTableDelta(Env::Default(), Path("r.tbl"), schema,
                                    {0, 1}, rel, &entry, 1)
@@ -798,11 +752,11 @@ TEST_F(StorageTest, CheckpointDeltaPreservesOldMappedVersions) {
                   .ok());
   // Shadow paging: the old manifest's slots are untouched, so a crash
   // before the new manifest lands still recovers the old state.
-  Result<MappedTable> old_read =
+  Result<StoredTable> old_read =
       ReadTableMapped(Env::Default(), Path("r.tbl"), old_entry);
   ASSERT_TRUE(old_read.ok()) << old_read.status();
   EXPECT_TRUE(old_read->relation.EqualsAsSet(old_rel));
-  Result<MappedTable> new_read =
+  Result<StoredTable> new_read =
       ReadTableMapped(Env::Default(), Path("r.tbl"), entry);
   ASSERT_TRUE(new_read.ok()) << new_read.status();
   EXPECT_TRUE(new_read->relation.EqualsAsSet(rel));
@@ -811,9 +765,7 @@ TEST_F(StorageTest, CheckpointDeltaPreservesOldMappedVersions) {
 TEST_F(StorageTest, ReadTableMappedDetectsPageCorruption) {
   Schema schema = Schema::OfStrings({"K", "P"});
   NfrRelation rel = BulkRelation(schema, 60, "a");
-  ASSERT_TRUE(
-      WriteTableAtomic(Env::Default(), Path("r.tbl"), schema, {0, 1}, rel)
-          .ok());
+  ASSERT_TRUE(WriteFlatTable(Path("r.tbl"), schema, {0, 1}, rel).ok());
   TableManifest entry;
   ASSERT_TRUE(CheckpointTableDelta(Env::Default(), Path("r.tbl"), schema,
                                    {0, 1}, rel, &entry, 1)
@@ -826,7 +778,7 @@ TEST_F(StorageTest, ReadTableMappedDetectsPageCorruption) {
     f.seekp(static_cast<std::streamoff>(kPageSize) + 100);
     f.write("XXXX", 4);
   }
-  Result<MappedTable> mapped =
+  Result<StoredTable> mapped =
       ReadTableMapped(Env::Default(), Path("r.tbl"), entry);
   EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
 }
@@ -834,9 +786,7 @@ TEST_F(StorageTest, ReadTableMappedDetectsPageCorruption) {
 TEST_F(StorageTest, StaleManifestEntryDetectedByIdentityStamp) {
   Schema schema = Schema::OfStrings({"K", "P"});
   NfrRelation rel = BulkRelation(schema, 60, "a");
-  ASSERT_TRUE(
-      WriteTableAtomic(Env::Default(), Path("r.tbl"), schema, {0, 1}, rel)
-          .ok());
+  ASSERT_TRUE(WriteFlatTable(Path("r.tbl"), schema, {0, 1}, rel).ok());
   TableManifest entry;
   ASSERT_TRUE(CheckpointTableDelta(Env::Default(), Path("r.tbl"), schema,
                                    {0, 1}, rel, &entry, 1)
@@ -845,38 +795,45 @@ TEST_F(StorageTest, StaleManifestEntryDetectedByIdentityStamp) {
   // file carries a new identity stamp, so the old mapping must be
   // recognizably stale — recovery probes the stamp and reads flat.
   NfrRelation fresh = BulkRelation(schema, 5, "fresh");
-  ASSERT_TRUE(
-      WriteTableAtomic(Env::Default(), Path("r.tbl"), schema, {0, 1}, fresh)
-          .ok());
+  ASSERT_TRUE(WriteFlatTable(Path("r.tbl"), schema, {0, 1}, fresh).ok());
   EXPECT_NE(ProbeTableFileId(Env::Default(), Path("r.tbl")), entry.file_id);
   // A mapped read through the stale entry must fail closed, not hand
   // back a mix of old and new pages.
-  Result<MappedTable> mapped =
+  Result<StoredTable> mapped =
       ReadTableMapped(Env::Default(), Path("r.tbl"), entry);
   EXPECT_EQ(mapped.status().code(), StatusCode::kCorruption);
 }
 
-TEST_F(StorageTest, SerializeTablePagesMatchesTableLayout) {
-  Schema schema = Schema::OfStrings({"K", "P"});
-  NfrRelation rel = BulkRelation(schema, 60, "a");
-  ASSERT_TRUE(
-      WriteTableAtomic(Env::Default(), Path("r.tbl"), schema, {0, 1}, rel)
-          .ok());
+// CREATE's empty table file is SerializeTablePages of the empty
+// relation, byte for byte: one slotted page holding only the metadata
+// record, packed at the page tail.
+TEST_F(StorageTest, CreateRelationWritesSerializedEmptyTable) {
+  Schema schema = Schema::OfStrings({"A", "B", "C"});
+  const Permutation order{2, 0, 1};
+  auto db = Database::Open(dir_.string());
+  ASSERT_TRUE(db.ok()) << db.status();
+  ASSERT_TRUE((*db)->CreateRelation("r", schema, order).ok());
+  Result<std::string> bytes = Env::Default()->ReadFileToString(Path("r.tbl"));
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
   const uint64_t id = ProbeTableFileId(Env::Default(), Path("r.tbl"));
   ASSERT_NE(id, 0u);
+
   Result<std::vector<Page>> pages =
-      SerializeTablePages(schema, {0, 1}, id, rel);
+      SerializeTablePages(schema, order, id, NfrRelation(schema));
   ASSERT_TRUE(pages.ok());
-  auto file = HeapFile::Open(Env::Default(), Path("r.tbl"));
-  ASSERT_TRUE(file.ok());
-  ASSERT_EQ((*file)->page_count(), pages->size());
-  Page on_disk;
-  for (PageId i = 0; i < (*file)->page_count(); ++i) {
-    ASSERT_TRUE((*file)->ReadPage(i, &on_disk).ok());
-    EXPECT_EQ(Crc32(std::string_view(on_disk.data(), kPageSize)),
-              Crc32(std::string_view((*pages)[i].data(), kPageSize)))
-        << "page " << i << " serializes differently than Table::Append";
-  }
+  ASSERT_EQ(pages->size(), 1u);
+  EXPECT_EQ(*bytes, std::string((*pages)[0].data(), kPageSize));
+
+  // The slotted layout, spelled out: header (slot_count = 1, free_end),
+  // one slot (offset, length), zero fill, the metadata record.
+  const std::string meta = EncodeTableMeta({schema, order, id});
+  const uint16_t offset = static_cast<uint16_t>(kPageSize - meta.size());
+  const uint16_t length = static_cast<uint16_t>(meta.size());
+  std::string expected(kPageSize, '\0');
+  const uint16_t header[4] = {1, offset, offset, length};
+  std::memcpy(expected.data(), header, sizeof(header));
+  expected.replace(offset, meta.size(), meta);
+  EXPECT_EQ(*bytes, expected);
 }
 
 TEST_F(StorageTest, HeapFileToleratesTornTailWhenAsked) {

@@ -17,7 +17,6 @@
 
 #include "core/nest.h"
 #include "engine/database.h"
-#include "storage/table.h"
 #include "util/string_util.h"
 
 int main(int argc, char** argv) {

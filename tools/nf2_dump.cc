@@ -18,12 +18,45 @@
 #include <cstring>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include "core/format.h"
 #include "storage/checkpoint.h"
 #include "storage/env.h"
-#include "storage/table.h"
 #include "util/string_util.h"
+
+namespace {
+
+// Prints one decoded table file; `view` names how it was read.
+void PrintTable(const char* file, const std::string& view,
+                const nf2::StoredTable& table, bool show_tuples) {
+  std::printf("table file : %s\n", file);
+  std::printf("view       : %s\n", view.c_str());
+  std::printf("schema     : %s\n", table.schema.ToString().c_str());
+  std::vector<std::string> order_names;
+  for (size_t p : table.nest_order) {
+    order_names.push_back(table.schema.attribute(p).name);
+  }
+  std::printf("nest order : %s\n",
+              nf2::Join(order_names, " then ").c_str());
+  std::printf("tuples     : %zu\n", table.relation.size());
+  uint64_t expanded = 0;
+  for (const nf2::NfrTuple& tuple : table.relation.tuples()) {
+    expanded += tuple.ExpandedCount();
+  }
+  std::printf("|R*|       : %llu\n",
+              static_cast<unsigned long long>(expanded));
+  if (show_tuples) {
+    std::printf("\n");
+    for (const nf2::NfrTuple& tuple : table.relation.tuples()) {
+      std::printf("%s\n", tuple.ToString(table.schema).c_str());
+    }
+  } else {
+    std::printf("\n%s", nf2::RenderTable(table.relation).c_str());
+  }
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) {
@@ -73,33 +106,11 @@ int main(int argc, char** argv) {
                      mapped.status().ToString().c_str());
         return 1;
       }
-      std::printf("table file : %s\n", argv[1]);
-      std::printf("view       : MANIFEST.nf2 mapping (%zu logical pages, "
-                  "%llu physical)\n",
-                  it->second.pages.size(),
-                  static_cast<unsigned long long>(it->second.physical_pages));
-      std::printf("schema     : %s\n", mapped->schema.ToString().c_str());
-      std::vector<std::string> order_names;
-      for (size_t p : mapped->nest_order) {
-        order_names.push_back(mapped->schema.attribute(p).name);
-      }
-      std::printf("nest order : %s\n",
-                  nf2::Join(order_names, " then ").c_str());
-      std::printf("tuples     : %zu\n", mapped->relation.size());
-      uint64_t expanded = 0;
-      for (const nf2::NfrTuple& tuple : mapped->relation.tuples()) {
-        expanded += tuple.ExpandedCount();
-      }
-      std::printf("|R*|       : %llu\n",
-                  static_cast<unsigned long long>(expanded));
-      if (show_tuples) {
-        std::printf("\n");
-        for (const nf2::NfrTuple& tuple : mapped->relation.tuples()) {
-          std::printf("%s\n", tuple.ToString(mapped->schema).c_str());
-        }
-      } else {
-        std::printf("\n%s", nf2::RenderTable(mapped->relation).c_str());
-      }
+      PrintTable(argv[1],
+                 nf2::StrCat("MANIFEST.nf2 mapping (", it->second.pages.size(),
+                             " logical pages, ", it->second.physical_pages,
+                             " physical)"),
+                 *mapped, show_tuples);
       return 0;
     }
   } else if (manifest.status().code() != nf2::StatusCode::kNotFound) {
@@ -107,48 +118,12 @@ int main(int argc, char** argv) {
                  manifest.status().ToString().c_str());
   }
 
-  auto table = nf2::Table::Open(argv[1]);
-  if (!table.ok()) {
-    std::fprintf(stderr, "cannot open table: %s\n",
-                 table.status().ToString().c_str());
+  auto flat = nf2::ReadTableFlat(env, argv[1]);
+  if (!flat.ok()) {
+    std::fprintf(stderr, "cannot read table: %s\n",
+                 flat.status().ToString().c_str());
     return 1;
   }
-  std::printf("table file : %s\n", argv[1]);
-  std::printf("view       : flat (no manifest mapping)\n");
-  std::printf("schema     : %s\n",
-              (*table)->schema().ToString().c_str());
-  std::vector<std::string> order_names;
-  for (size_t p : (*table)->nest_order()) {
-    order_names.push_back((*table)->schema().attribute(p).name);
-  }
-  std::printf("nest order : %s\n",
-              nf2::Join(order_names, " then ").c_str());
-
-  auto scanned = (*table)->ScanWithIds();
-  if (!scanned.ok()) {
-    std::fprintf(stderr, "scan failed: %s\n",
-                 scanned.status().ToString().c_str());
-    return 1;
-  }
-  std::printf("tuples     : %zu\n", scanned->size());
-  uint64_t expanded = 0;
-  for (const auto& [rid, tuple] : *scanned) {
-    expanded += tuple.ExpandedCount();
-  }
-  std::printf("|R*|       : %llu\n",
-              static_cast<unsigned long long>(expanded));
-
-  if (show_tuples) {
-    std::printf("\n");
-    for (const auto& [rid, tuple] : *scanned) {
-      std::printf("%-18s %s\n", rid.ToString().c_str(),
-                  tuple.ToString((*table)->schema()).c_str());
-    }
-  } else {
-    auto rel = (*table)->ReadAll();
-    if (rel.ok()) {
-      std::printf("\n%s", nf2::RenderTable(*rel).c_str());
-    }
-  }
+  PrintTable(argv[1], "flat (no manifest mapping)", *flat, show_tuples);
   return 0;
 }
